@@ -74,13 +74,6 @@ class ParamStore:
     def param_count(self):
         return sum(w.size + b.size for w, b in self._params.values())
 
-    def check_finite(self, what="parameter"):
-        for name, (w, b) in self._params.items():
-            if not np.isfinite(w).all():
-                raise NumericError(f"non-finite {what} in {name}.weight")
-            if not np.isfinite(b).all():
-                raise NumericError(f"non-finite {what} in {name}.bias")
-
 
 def linear_forward(store, name, x, cache=None):
     """y = x @ W + b for a named layer.
@@ -99,12 +92,17 @@ def linear_forward(store, name, x, cache=None):
 
 
 def linear_backward(store, name, grad_out, cache):
-    """Accumulate dW, db for a layer and return the gradient w.r.t. its input."""
+    """Write dW, db for a layer and return the gradient w.r.t. its input.
+
+    The gradient buffers are assigned, not accumulated into: each layer
+    appears once in the graph, so its backward runs exactly once per step
+    and no zeroing is needed between steps.
+    """
     x = cache[name]
     w, _ = store.params(name)
     dw, db = store.grads(name)
-    dw += x.T @ grad_out
-    db += grad_out.sum(axis=0)
+    np.matmul(x.T, grad_out, out=dw)
+    np.sum(grad_out, axis=0, out=db)
     return grad_out @ w.T
 
 
@@ -140,13 +138,31 @@ def concat_backward(grad_out, left_cols):
     return grad_out[:, :left_cols], grad_out[:, left_cols:]
 
 
+_PARTS = ("weight", "bias")
+
+
+def _check_finite(arr, what, name, part):
+    """Raise NumericError naming `<name>.<part>` if arr has a non-finite entry.
+
+    One reduction flags a suspect buffer; the exact per-entry scan runs only
+    then, so a finite buffer whose sum overflows passes.
+    """
+    if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
+        raise NumericError(f"non-finite {what} in {name}.{part}")
+
+
 class Optimizer:
     """Adam (default) or plain SGD over a ParamStore.
 
     Weight decay is decoupled: applied directly to weights after the
     gradient step, never mixed into the adaptive moments. Biases are not
-    decayed. step() asserts gradient and parameter finiteness and zeroes
-    the gradient buffers afterwards.
+    decayed. step() updates each tensor in place, in one pass through the
+    store that reuses a single scratch buffer, so it allocates no
+    temporaries. It checks every gradient before the update and every
+    parameter after it, raising NumericError naming `<layer>.weight|bias`
+    on a non-finite entry, and zeroes the gradient buffers afterwards; the
+    model's backward pass assigns those buffers rather than accumulating
+    into them, so training does not rely on that zeroing.
     """
 
     def __init__(self, mode="adam", lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
@@ -164,44 +180,58 @@ class Optimizer:
         self._m = {}
         self._v = {}
         self._t = 0
+        self._scratch = np.empty(0)
 
     def step(self, store, lr=None):
         lr = self.lr if lr is None else lr
-        for name in store.names():
-            dw, db = store.grads(name)
-            if not np.isfinite(dw).all():
-                raise NumericError(f"non-finite gradient in {name}.weight")
-            if not np.isfinite(db).all():
-                raise NumericError(f"non-finite gradient in {name}.bias")
-        if self.mode == "sgd":
-            for name in store.names():
-                w, b = store.params(name)
-                dw, db = store.grads(name)
-                w -= lr * dw
-                b -= lr * db
-        else:
+        names = store.names()
+        largest = max((w.size for w, _ in map(store.params, names)), default=0)
+        if self._scratch.size < largest:
+            self._scratch = np.empty(largest)
+        adam = self.mode == "adam"
+        if adam:
             self._t += 1
-            t = self._t
-            bc1 = 1.0 - self.beta1 ** t
-            bc2 = 1.0 - self.beta2 ** t
-            for name in store.names():
-                if name not in self._m:
-                    w, b = store.params(name)
-                    self._m[name] = [np.zeros_like(w), np.zeros_like(b)]
-                    self._v[name] = [np.zeros_like(w), np.zeros_like(b)]
-                for p, g, m, v in zip(store.params(name), store.grads(name),
-                                      self._m[name], self._v[name]):
-                    m *= self.beta1
-                    m += (1.0 - self.beta1) * g
-                    v *= self.beta2
-                    v += (1.0 - self.beta2) * g * g
-                    p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-        if self.weight_decay > 0.0:
-            for name in store.names():
-                w, _ = store.params(name)
-                w -= lr * self.weight_decay * w
-        store.check_finite()
-        store.zero_grads()
+            b1, b2 = self.beta1, self.beta2
+            # bias correction folded into one step size and a scaled eps:
+            # lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            #   == step * m / (sqrt(v) + eps * sqrt(bc2))
+            root_bc2 = math.sqrt(1.0 - b2 ** self._t)
+            step = lr * root_bc2 / (1.0 - b1 ** self._t)
+            eps = self.eps * root_bc2
+        decay = 1.0 - lr * self.weight_decay
+        # overflow surfaces as inf, which the finiteness checks then name
+        with np.errstate(over="ignore"):
+            for name in names:
+                for g, part in zip(store.grads(name), _PARTS):
+                    _check_finite(g, "gradient", name, part)
+            for name in names:
+                params, grads = store.params(name), store.grads(name)
+                if adam and name not in self._m:
+                    self._m[name] = [np.zeros_like(p) for p in params]
+                    self._v[name] = [np.zeros_like(p) for p in params]
+                for i, part in enumerate(_PARTS):
+                    p, g = params[i], grads[i]
+                    s = self._scratch[:p.size].reshape(p.shape)
+                    if adam:
+                        m, v = self._m[name][i], self._v[name][i]
+                        m *= b1
+                        np.multiply(g, 1.0 - b1, out=s)
+                        m += s
+                        v *= b2
+                        np.multiply(g, 1.0 - b2, out=s)
+                        s *= g
+                        v += s
+                        np.sqrt(v, out=s)
+                        s += eps
+                        np.divide(m, s, out=s)
+                        s *= step
+                    else:
+                        np.multiply(g, lr, out=s)
+                    p -= s
+                    if part == "weight" and self.weight_decay > 0.0:
+                        p *= decay
+                    _check_finite(p, "parameter", name, part)
+                    g.fill(0.0)
         return store
 
 

@@ -145,7 +145,8 @@ def total_loss(au_logits, ce_logits, va_pred, labels):
     over their labeled samples; the VA loss is a single batch-level quantity
     over the VA-labeled subset and is skipped (zero, count 0) when that
     subset has fewer than 2 samples. Unlabeled tracks get exactly-zero
-    gradients.
+    gradients. Each track is evaluated for the whole batch at once; the
+    scalar multilabel_ce, softmax_ce and va_loss are its reference.
 
     Returns (LossBreakdown, (grad_au, grad_ce, grad_va)).
     """
@@ -156,7 +157,10 @@ def total_loss(au_logits, ce_logits, va_pred, labels):
     if n == 0 or au_logits.shape != (n, N_AU) or ce_logits.shape != (n, N_CE) \
             or va_pred.shape != (n, 2):
         raise ValueError("prediction shapes do not match the batch")
-    if not any(lab.any_present() for lab in labels):
+    au_idx = [i for i, lab in enumerate(labels) if lab.au is not None]
+    ce_idx = [i for i, lab in enumerate(labels) if lab.ce is not None]
+    va_idx = [i for i, lab in enumerate(labels) if lab.va is not None]
+    if not (au_idx or ce_idx or va_idx):
         raise ValueError("batch has no labels on any track")
 
     bd = LossBreakdown()
@@ -164,34 +168,73 @@ def total_loss(au_logits, ce_logits, va_pred, labels):
     grad_ce = np.zeros_like(ce_logits)
     grad_va = np.zeros_like(va_pred)
 
-    au_idx = [i for i, lab in enumerate(labels) if lab.au is not None]
     if au_idx:
-        acc = 0.0
-        for i in au_idx:
-            loss_i, g_i = multilabel_ce(au_logits[i], labels[i].au)
-            acc += loss_i
-            grad_au[i] = g_i / len(au_idx)
-        bd.l_au = acc / len(au_idx)
+        target = np.array([labels[i].au for i in au_idx])
+        losses, grad = _multilabel_ce_rows(au_logits[au_idx], target)
+        bd.l_au = float(losses.sum()) / len(au_idx)
         bd.n_au = len(au_idx)
+        grad_au[au_idx] = grad / len(au_idx)
 
-    ce_idx = [i for i, lab in enumerate(labels) if lab.ce is not None]
     if ce_idx:
-        acc = 0.0
-        for i in ce_idx:
-            loss_i, g_i = softmax_ce(ce_logits[i], labels[i].ce)
-            acc += loss_i
-            grad_ce[i] = g_i / len(ce_idx)
-        bd.l_ce = acc / len(ce_idx)
+        target = np.array([int(labels[i].ce) for i in ce_idx])
+        losses, grad = _softmax_ce_rows(ce_logits[ce_idx], target)
+        bd.l_ce = float(losses.sum()) / len(ce_idx)
         bd.n_ce = len(ce_idx)
+        grad_ce[ce_idx] = grad / len(ce_idx)
 
-    va_idx = [i for i, lab in enumerate(labels) if lab.va is not None]
     if len(va_idx) >= 2:
         truth = np.stack([labels[i].va for i in va_idx])
         loss_va, g_va = va_loss(va_pred[va_idx], truth)
         bd.l_va = loss_va
         bd.n_va = len(va_idx)
-        for row, i in enumerate(va_idx):
-            grad_va[i] = g_va[row]
+        grad_va[va_idx] = g_va
 
     bd.total = bd.l_au + bd.l_ce + bd.l_va
     return bd, (grad_au, grad_ce, grad_va)
+
+
+def _multilabel_ce_rows(logits, target):
+    """multilabel_ce for every row of (n, 12) logits and 0/1 targets at once.
+
+    Returns (per-row losses (n,), gradient (n, 12)).
+    """
+    if target.shape != logits.shape:
+        raise ValueError(f"AU targets of shape {target.shape} do not match logits "
+                         f"{logits.shape}")
+    pos = target == 1
+    if not (pos | (target == 0)).all():
+        raise ValueError("AU target entries must be 0 or 1")
+    # each logit enters its own set's log-sum-exp with a sign, +v for
+    # negatives and -v for positives, shifted by max(0, that set's max)
+    signed = np.where(pos, -logits, logits)
+
+    def own(neg_val, pos_val):
+        return np.where(pos, pos_val[:, None], neg_val[:, None])
+
+    m_neg = np.maximum(np.where(pos, -np.inf, signed).max(axis=1), 0.0)
+    m_pos = np.maximum(np.where(pos, signed, -np.inf).max(axis=1), 0.0)
+    # exp(s - shift) <= 1 by construction, so these never overflow
+    e = np.exp(signed - own(m_neg, m_pos))
+    term_neg = m_neg + np.log(np.exp(-m_neg) + np.where(pos, 0.0, e).sum(axis=1))
+    term_pos = m_pos + np.log(np.exp(-m_pos) + np.where(pos, e, 0.0).sum(axis=1))
+    grad = np.exp(signed - own(term_neg, term_pos))
+    np.negative(grad, out=grad, where=pos)
+    return term_neg + term_pos, grad
+
+
+def _softmax_ce_rows(logits, target):
+    """softmax_ce for every row of (n, k) logits and integer targets at once.
+
+    Returns (per-row losses (n,), gradient (n, k)).
+    """
+    k = logits.shape[1]
+    bad = (target < 0) | (target >= k)
+    if bad.any():
+        raise ValueError(f"class target {target[bad][0]} out of range 0..{k - 1}")
+    rows = np.arange(target.shape[0])
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    z = exp.sum(axis=1)
+    grad = exp / z[:, None]
+    grad[rows, target] -= 1.0
+    return np.log(z) - shifted[rows, target], grad

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -223,7 +223,6 @@ class Model:
         pred = self._forward(emb, cache)
         breakdown, (g_au, g_ce, g_va) = total_loss(
             pred.au_logits, pred.ce_logits, pred.va, [rec.labels for rec in batch])
-        self.store.zero_grads()
         self._backward(cache, g_au, g_ce, g_va)
         return breakdown
 
@@ -251,11 +250,16 @@ def _encode(arr):
     return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
 
 
-def _decode(text, shape):
-    arr = np.frombuffer(base64.b64decode(text), dtype="<f8").astype(float)
-    if arr.size != int(np.prod(shape)):
-        raise CheckpointError(f"tensor size {arr.size} does not match shape {shape}")
-    return arr.reshape(shape)
+def _decode(text, shape, label):
+    """Decode one base64 float64 tensor; errors name it by label."""
+    try:
+        arr = np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8")
+        arr = arr.astype(float).reshape(tuple(shape))
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise CheckpointError(f"bad tensor {label}: {exc}") from None
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"non-finite value in tensor {label}")
+    return arr
 
 
 def save_checkpoint(model, path):
@@ -293,21 +297,35 @@ def load_checkpoint(path):
         raise CheckpointError(f"unsupported checkpoint version {doc.get('version')!r}")
     try:
         config = NetConfig(**doc["config"])
-    except TypeError as exc:
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"bad checkpoint config: {exc!r}") from None
+    for field in fields(NetConfig):
+        value = getattr(config, field.name)
+        if type(value) is not type(field.default):
+            raise CheckpointError(f"bad checkpoint config: {field.name} must be "
+                                  f"{type(field.default).__name__}, got {value!r}")
+    try:
+        model = Model(config)
+    except ValueError as exc:
         raise CheckpointError(f"bad checkpoint config: {exc}") from None
-    model = Model(config)
-    stored = doc.get("params", {})
+    stored = doc.get("params")
+    if not isinstance(stored, dict):
+        raise CheckpointError("checkpoint has no params table")
     expected = set(model.store.names())
     if set(stored) != expected:
         raise CheckpointError(
             f"checkpoint layers {sorted(stored)} do not match config layers {sorted(expected)}")
     for name in model.store.names():
         entry = stored[name]
-        w = _decode(entry["w"], tuple(entry["w_shape"]))
-        b = _decode(entry["b"], tuple(entry["b_shape"]))
         try:
+            w = _decode(entry["w"], entry["w_shape"], f"{name}.weight")
+            b = _decode(entry["b"], entry["b_shape"], f"{name}.bias")
             model.store.set_params(name, w, b)
+        except (KeyError, TypeError) as exc:
+            raise CheckpointError(f"layer {name}: missing or malformed key {exc}") from None
         except engine.DimensionError as exc:
             raise CheckpointError(str(exc)) from None
-    model.au_thresholds = _decode(doc["au_thresholds"], (N_AU,))
+    if "au_thresholds" not in doc:
+        raise CheckpointError("missing key 'au_thresholds'")
+    model.au_thresholds = _decode(doc["au_thresholds"], (N_AU,), "au_thresholds")
     return model

@@ -107,7 +107,6 @@ def holdout_split(records, fraction, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(len(records))
     n_hold = round(len(records) * fraction)
-    hold_idx = set(order[:n_hold].tolist())
     train = [records[i] for i in order[n_hold:]]
     hold = [records[i] for i in order[:n_hold]]
     return train, hold

@@ -1,16 +1,18 @@
 """End-to-end checks of the command-line interface via subprocess."""
 
+import base64
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import affectstream
 from affectstream.data import load_dataset
-from affectstream.model import load_checkpoint
+from affectstream.model import Model, NetConfig, load_checkpoint, save_checkpoint
 from affectstream.train import evaluate_model
 
 SYNTH_SMALL = ["--n", "50", "--latent-dim", "8", "--embed-dim", "32", "--seed", "3"]
@@ -175,6 +177,48 @@ def test_eval_checkpoint_dim_mismatch_exit_4(tmp_path):
     proc = run_cli(["eval", "--data", str(other), "--checkpoint", "ck.json"], tmp_path)
     assert proc.returncode == 4
     assert "checkpoint" in proc.stderr
+
+
+def _drop_au_thresholds(doc):
+    del doc["au_thresholds"]
+
+
+def _bad_base64_weight(doc):
+    doc["params"]["head_au.fc1"]["w"] = "not*base64!"
+
+
+def _bogus_variant(doc):
+    doc["config"]["variant"] = "bogus"
+
+
+def _string_embed_dim(doc):
+    doc["config"]["embed_dim"] = "32"
+
+
+def _nan_weight(doc):
+    w = np.frombuffer(base64.b64decode(doc["params"]["head_ce.fc2"]["w"]), dtype="<f8").copy()
+    w[3] = np.nan
+    doc["params"]["head_ce.fc2"]["w"] = base64.b64encode(w.tobytes()).decode("ascii")
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (_drop_au_thresholds, "au_thresholds"),
+    (_bad_base64_weight, "head_au.fc1.weight"),
+    (_bogus_variant, "bogus"),
+    (_string_embed_dim, "embed_dim"),
+    (_nan_weight, "head_ce.fc2.weight"),
+], ids=["missing-au-thresholds", "bad-base64", "unknown-variant", "string-dim", "nan-weight"])
+def test_eval_malformed_checkpoint_exit_4(tmp_path, corrupt, named):
+    data = make_dataset(tmp_path)
+    save_checkpoint(Model(NetConfig(embed_dim=32, extractor_hidden=8, head_hidden=8)),
+                    str(tmp_path / "ck.json"))
+    doc = json.loads((tmp_path / "ck.json").read_text())
+    corrupt(doc)
+    (tmp_path / "ck.json").write_text(json.dumps(doc))
+    proc = run_cli(["eval", "--data", str(data), "--checkpoint", "ck.json"], tmp_path)
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert named in proc.stderr
 
 
 # -- kfold ----------------------------------------------------------------

@@ -259,3 +259,51 @@ def test_param_count():
     store.add_linear("a", 4, 3, rng)
     store.add_linear("b", 3, 2, rng)
     assert store.param_count() == (4 * 3 + 3) + (3 * 2 + 2)
+
+
+def test_adam_with_decay_matches_textbook_update():
+    """Five fused steps equal the unfused bias-corrected expression."""
+    rng = make_rng(6)
+    store = make_store(fan_in=4, fan_out=3, seed=6)
+    store.set_params("fc", rng.normal(size=(4, 3)), rng.normal(size=3))
+    lr, wd, b1, b2, eps = 0.01, 0.1, 0.9, 0.999, 1e-8
+    opt = Optimizer(mode="adam", lr=lr, weight_decay=wd)
+    ref = [p.copy() for p in store.params("fc")]
+    m = [np.zeros_like(p) for p in ref]
+    v = [np.zeros_like(p) for p in ref]
+    for t in range(1, 6):
+        grads = [rng.normal(size=p.shape) for p in ref]
+        for buf, g in zip(store.grads("fc"), grads):
+            buf[...] = g
+        opt.step(store)
+        for i, g in enumerate(grads):
+            m[i] = b1 * m[i] + (1 - b1) * g
+            v[i] = b2 * v[i] + (1 - b2) * g * g
+            ref[i] -= lr * (m[i] / (1 - b1 ** t)) / (np.sqrt(v[i] / (1 - b2 ** t)) + eps)
+        ref[0] -= lr * wd * ref[0]  # weights only
+        for got, want in zip(store.params("fc"), ref):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_finite_gradient_with_overflowing_sum_does_not_raise():
+    for mode in ("sgd", "adam"):
+        store = make_store(seed=2)
+        store.grads("fc")[0][0, :2] = 1e308
+        Optimizer(mode=mode, lr=1e-3).step(store)
+        assert np.isfinite(store.params("fc")[0]).all()
+
+
+def test_non_finite_bias_gradient_names_bias():
+    store = make_store(name="head_ce.fc2", seed=2)
+    store.grads("head_ce.fc2")[1][1] = np.nan
+    with pytest.raises(NumericError, match=r"head_ce\.fc2\.bias"):
+        Optimizer(mode="adam").step(store)
+
+
+def test_sgd_overflow_to_inf_names_parameter():
+    store = make_store(name="head_va.fc1", seed=2)
+    w, b = store.params("head_va.fc1")
+    store.set_params("head_va.fc1", np.where(np.arange(9).reshape(3, 3) == 4, 1e308, w), b)
+    store.grads("head_va.fc1")[0][1, 1] = -1e308
+    with pytest.raises(NumericError, match=r"parameter in head_va\.fc1\.weight"):
+        Optimizer(mode="sgd", lr=10.0).step(store)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from affectstream.data import LabelSet
 from affectstream.engine import make_rng
@@ -312,3 +315,77 @@ def test_total_loss_gradients_match_finite_differences():
     assert np.allclose(g_au, num_au, atol=1e-8)
     assert np.allclose(g_ce, num_ce, atol=1e-8)
     assert np.allclose(g_va, num_va, atol=1e-7)
+
+
+# -- batch-vectorised total loss against the per-sample oracles ----------
+
+LOGIT = st.one_of(st.floats(-30.0, 30.0), st.sampled_from([-1e3, 1e3]))
+
+
+@st.composite
+def labelled_outputs(draw):
+    """Network outputs plus labels with random per-track masks; AU rows are
+    drawn mixed, all-positive or all-negative."""
+    n = draw(st.integers(1, 10))
+    au_l = draw(hnp.arrays(float, (n, 12), elements=LOGIT))
+    ce_l = draw(hnp.arrays(float, (n, 7), elements=LOGIT))
+    va_p = draw(hnp.arrays(float, (n, 2), elements=st.floats(-0.99, 0.99)))
+    labels = []
+    for _ in range(n):
+        au = ce = va = None
+        if draw(st.booleans()):
+            kind = draw(st.sampled_from(["mixed", "all_pos", "all_neg"]))
+            if kind == "mixed":
+                au = draw(hnp.arrays(int, 12, elements=st.integers(0, 1)))
+            else:
+                au = np.full(12, int(kind == "all_pos"))
+        if draw(st.booleans()):
+            ce = draw(st.integers(0, 6))
+        if draw(st.booleans()):
+            va = draw(hnp.arrays(float, 2, elements=st.floats(-1.0, 1.0)))
+        labels.append(make_labels(au=au, ce=ce, va=va))
+    assume(any(lab.any_present() for lab in labels))
+    return au_l, ce_l, va_p, labels
+
+
+def oracle_total_loss(au_l, ce_l, va_p, labels):
+    """Sum of the scalar per-sample losses, track by track."""
+    losses = {"au": 0.0, "ce": 0.0, "va": 0.0}
+    grads = (np.zeros_like(au_l), np.zeros_like(ce_l), np.zeros_like(va_p))
+    for key, fn, logits, grad in (("au", multilabel_ce, au_l, grads[0]),
+                                  ("ce", softmax_ce, ce_l, grads[1])):
+        rows = [i for i, lab in enumerate(labels) if getattr(lab, key) is not None]
+        for i in rows:
+            loss_i, g_i = fn(logits[i], getattr(labels[i], key))
+            losses[key] += loss_i / len(rows)
+            grad[i] = g_i / len(rows)
+    rows = [i for i, lab in enumerate(labels) if lab.va is not None]
+    if len(rows) >= 2:
+        losses["va"], g_va = va_loss(va_p[rows], np.stack([labels[i].va for i in rows]))
+        grads[2][rows] = g_va
+    return losses, grads
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_outputs())
+def test_total_loss_matches_per_sample_oracles(batch):
+    au_l, ce_l, va_p, labels = batch
+    bd, grads = total_loss(au_l, ce_l, va_p, labels)
+    ref, ref_grads = oracle_total_loss(au_l, ce_l, va_p, labels)
+    assert bd.l_au == pytest.approx(ref["au"], rel=1e-12, abs=1e-12)
+    assert bd.l_ce == pytest.approx(ref["ce"], rel=1e-12, abs=1e-12)
+    assert bd.l_va == pytest.approx(ref["va"], rel=1e-12, abs=1e-12)
+    assert bd.total == pytest.approx(sum(ref.values()), rel=1e-12, abs=1e-12)
+    for got, want in zip(grads, ref_grads):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def test_total_loss_keeps_oracle_validation():
+    rng = make_rng(13)
+    au_l, ce_l, va_p = random_batch_outputs(rng, 2)
+    with pytest.raises(ValueError):
+        total_loss(au_l, ce_l, va_p, [make_labels(au=np.full(12, 2)), make_labels(ce=1)])
+    with pytest.raises(ValueError):
+        total_loss(au_l, ce_l, va_p, [make_labels(ce=7), make_labels(ce=1)])
+    with pytest.raises(ValueError):
+        total_loss(au_l[:1], ce_l, va_p, [make_labels(ce=0), make_labels(ce=1)])

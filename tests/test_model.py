@@ -270,6 +270,21 @@ def test_au_only_batch_never_reaches_downstream_heads():
         assert grad_norm(model, "extractor_va.fc1") == 0.0
 
 
+def test_loss_and_grads_assigns_rather_than_accumulates():
+    """A second call on the same batch leaves the same gradient buffers."""
+    for variant, adapter in (("streaming", True), ("parallel", False)):
+        cfg = small_config(seed=28, variant=variant, adapter=adapter)
+        model = build(cfg)
+        batch = make_batch(cfg, make_rng(29), 6)
+        model.loss_and_grads(batch)
+        first = {name: [g.copy() for g in model.store.grads(name)]
+                 for name in model.store.names()}
+        model.loss_and_grads(batch)
+        for name in model.store.names():
+            for got, want in zip(model.store.grads(name), first[name]):
+                assert np.array_equal(got, want), name
+
+
 def test_full_graph_gradient_check_both_variants():
     for variant in ("streaming", "parallel"):
         model, batch = make_gradcheck_setup(variant=variant)
