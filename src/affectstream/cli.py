@@ -32,8 +32,8 @@ EXIT_RULES = 5
 GRADCHECK_TOL = 1e-5
 
 
-class ConfigFileError(ValueError):
-    pass
+class UsageError(ValueError):
+    """Bad flag or config-file value; exits 2."""
 
 
 def positive_int(text):
@@ -47,6 +47,13 @@ def rate_float(text):
     value = float(text)
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
+    return value
+
+
+def nonneg_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -66,7 +73,7 @@ def load_config_file(path):
             if not stripped or stripped.startswith("#"):
                 continue
             if "=" not in stripped:
-                raise ConfigFileError(f"{path}:{line_no}: expected 'key = value'")
+                raise UsageError(f"{path}:{line_no}: expected 'key = value'")
             key, value = stripped.split("=", 1)
             settings[key.strip()] = value.strip()
     return settings
@@ -82,7 +89,7 @@ def _resolve(args, key, cast, default):
         try:
             return cast(config[key])
         except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ConfigFileError(f"config key {key!r}: {exc}") from None
+            raise UsageError(f"config key {key!r}: {exc}") from None
     return default
 
 
@@ -100,9 +107,9 @@ def cmd_synth(args):
         missing_au=_resolve(args, "missing_au", rate_float, 0.0),
         missing_ce=_resolve(args, "missing_ce", rate_float, 0.0),
         missing_va=_resolve(args, "missing_va", rate_float, 0.0),
-        noise_std=_resolve(args, "noise_std", float, 0.0),
+        noise_std=_resolve(args, "noise_std", nonneg_float, 0.0),
         embed_dim=_resolve(args, "embed_dim", positive_int, 512),
-        seed=_resolve(args, "seed", int, 0),
+        seed=args.seed,
     )
     records, truth = synth_generate(config)
     save_dataset(records, args.out, dim=config.embed_dim)
@@ -121,7 +128,7 @@ def _net_config(args, embed_dim):
         embed_dim=embed_dim,
         variant=_resolve(args, "variant", str, "streaming"),
         adapter=_adapter_flag(_resolve(args, "adapter", str, "off")),
-        seed=_resolve(args, "seed", int, 0),
+        seed=args.seed,
     )
 
 
@@ -132,7 +139,7 @@ def _train_settings(args):
         lr=_resolve(args, "lr", float, 1e-3),
         weight_decay=_resolve(args, "weight_decay", nonneg_float, 0.0),
         optimizer=_resolve(args, "optimizer", str, "adam"),
-        seed=_resolve(args, "seed", int, 0),
+        seed=args.seed,
     )
 
 
@@ -198,15 +205,16 @@ def cmd_kfold(args):
         raise NoLabeledDataError("no record carries any label")
     k = _resolve(args, "k", positive_int, 5)
     if k < 2:
-        raise ConfigFileError(f"k must be >= 2, got {k}")
-    seed = _resolve(args, "seed", int, 0)
+        raise UsageError(f"k must be >= 2, got {k}")
+    if k > len(records):
+        raise UsageError(f"k={k} exceeds dataset size {len(records)}")
     net_config = _net_config(args, len(records[0].embedding))
     settings = _train_settings(args)
     weights = _score_weights(args)
     workers = _resolve(args, "workers", positive_int, 1)
-    reports, aggregate = run_kfold(records, k, seed, net_config, settings,
+    reports, aggregate = run_kfold(records, k, args.seed, net_config, settings,
                                    weights=weights, workers=workers)
-    doc = {"k": k, "seed": seed,
+    doc = {"k": k, "seed": args.seed,
            "folds": [r.to_dict() for r in reports],
            "aggregate": aggregate}
     for i, rep in enumerate(reports, start=1):
@@ -226,9 +234,8 @@ def cmd_kfold(args):
 def cmd_gradcheck(args):
     variant = _resolve(args, "variant", str, "streaming")
     adapter = _adapter_flag(_resolve(args, "adapter", str, "off"))
-    seed = _resolve(args, "seed", int, 0)
     eps = _resolve(args, "eps", float, 1e-5)
-    model, batch = make_gradcheck_setup(variant=variant, adapter=adapter, seed=seed)
+    model, batch = make_gradcheck_setup(variant=variant, adapter=adapter, seed=args.seed)
 
     def loss_fn():
         breakdown = model.loss_and_grads(batch)
@@ -267,14 +274,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=nonneg_int, default=None)
         p.add_argument("--config", default=None, help="key = value settings file")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset plus truth sidecar")
     add_common(p)
     p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--latent-dim", dest="latent_dim", type=positive_int, default=None)
-    p.add_argument("--noise-std", dest="noise_std", type=float, default=None)
+    p.add_argument("--noise-std", dest="noise_std", type=nonneg_float, default=None)
     p.add_argument("--missing-au", dest="missing_au", type=rate_float, default=None)
     p.add_argument("--missing-ce", dest="missing_ce", type=rate_float, default=None)
     p.add_argument("--missing-va", dest="missing_va", type=rate_float, default=None)
@@ -352,6 +359,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args._config = load_config_file(args.config) if args.config else {}
+        # every verb takes a seed; validate it once, flag or config key
+        args.seed = _resolve(args, "seed", nonneg_int, 0)
         return args.func(args)
     except RuleParseError as exc:
         print(f"error: rule file: {exc}", file=sys.stderr)
@@ -362,7 +371,7 @@ def main(argv=None):
     except NoLabeledDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_LABELS
-    except (OSError, DatasetFormatError, ConfigFileError) as exc:
+    except (OSError, DatasetFormatError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

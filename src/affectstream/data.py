@@ -147,6 +147,8 @@ def load_dataset(path):
         dim = int(lines[0][len(_HEADER_PREFIX):])
     except ValueError:
         raise DatasetFormatError(1, f"bad header {lines[0]!r}") from None
+    if dim < 1:
+        raise DatasetFormatError(1, f"embedding width must be >= 1, got {lines[0]!r}")
     records = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():

@@ -91,18 +91,22 @@ def linear_forward(store, name, x, cache=None):
     return x @ w + b
 
 
-def linear_backward(store, name, grad_out, cache):
+def linear_backward(store, name, grad_out, cache, input_grad=True):
     """Write dW, db for a layer and return the gradient w.r.t. its input.
 
     The gradient buffers are assigned, not accumulated into: each layer
     appears once in the graph, so its backward runs exactly once per step
-    and no zeroing is needed between steps.
+    and no zeroing is needed between steps. With input_grad=False the
+    input gradient is not computed and None is returned; the graph's first
+    layer uses this, since nothing upstream of the embedding trains.
     """
     x = cache[name]
-    w, _ = store.params(name)
     dw, db = store.grads(name)
     np.matmul(x.T, grad_out, out=dw)
     np.sum(grad_out, axis=0, out=db)
+    if not input_grad:
+        return None
+    w, _ = store.params(name)
     return grad_out @ w.T
 
 
@@ -160,9 +164,10 @@ class Optimizer:
     store that reuses a single scratch buffer, so it allocates no
     temporaries. It checks every gradient before the update and every
     parameter after it, raising NumericError naming `<layer>.weight|bias`
-    on a non-finite entry, and zeroes the gradient buffers afterwards; the
-    model's backward pass assigns those buffers rather than accumulating
-    into them, so training does not rely on that zeroing.
+    on a non-finite entry. It only reads the gradient buffers and leaves
+    them as they were: the model's backward pass assigns every one of them
+    once per step, so they need no zeroing between steps. A caller that
+    fills gradients by accumulation zeroes them itself (ParamStore.zero_grads).
     """
 
     def __init__(self, mode="adam", lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
@@ -231,7 +236,6 @@ class Optimizer:
                     if part == "weight" and self.weight_decay > 0.0:
                         p *= decay
                     _check_finite(p, "parameter", name, part)
-                    g.fill(0.0)
         return store
 
 

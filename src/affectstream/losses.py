@@ -15,6 +15,9 @@ import numpy as np
 
 from .data import N_AU, N_CE
 
+# smallest normal float64; a CCC denominator below it has lost precision
+_TINY = np.finfo(float).tiny
+
 
 @dataclass
 class LossBreakdown:
@@ -99,6 +102,10 @@ def ccc(pred, truth):
     vp, vt = pred.var(), truth.var()
     cov = ((pred - mp) * (truth - mt)).mean()
     denom = vp + vt + (mp - mt) ** 2
+    if denom < _TINY:
+        e = _unit_exponent(pred, truth)
+        if e > 0:
+            return ccc(np.ldexp(pred, e), np.ldexp(truth, e))
     if denom == 0.0:
         return 1.0 if (vp == 0.0 and vt == 0.0 and mp == mt) else 0.0
     return 2.0 * cov / denom
@@ -111,10 +118,28 @@ def _ccc_grad(pred, truth):
     vp, vt = pred.var(), truth.var()
     cov = ((pred - mp) * (truth - mt)).mean()
     denom = vp + vt + (mp - mt) ** 2
+    # overflow surfaces as inf, which the optimizer's finiteness check names
+    with np.errstate(over="ignore", divide="ignore"):
+        factor = 2.0 / (n * denom)
+        if math.isinf(factor):
+            # the denominator underflowed: d ccc/d pred = k * (d ccc/d pred)(k pred, k truth)
+            e = _unit_exponent(pred, truth)
+            if e > 0:
+                return np.ldexp(_ccc_grad(np.ldexp(pred, e), np.ldexp(truth, e)), e)
     if denom == 0.0:
         return np.zeros_like(pred)
     c = 2.0 * cov / denom
-    return (2.0 / (n * denom)) * ((truth - mt) - c * (pred - mt))
+    return factor * ((truth - mt) - c * (pred - mt))
+
+
+def _unit_exponent(pred, truth):
+    """The e for which k = 2**e lifts max(|pred|, |truth|) into [0.5, 1).
+
+    CCC is scale-free, and scaling by a power of two is exact, so inputs
+    that differ only far below 1e-150, whose squared spreads underflow, are
+    scored at k times their size instead.
+    """
+    return -math.frexp(max(np.abs(pred).max(), np.abs(truth).max()))[1]
 
 
 def va_loss(pred, truth):

@@ -181,10 +181,10 @@ class Model:
 
     # -- backward --------------------------------------------------------
 
-    def _mlp_backward(self, prefix, grad_out, cache):
+    def _mlp_backward(self, prefix, grad_out, cache, input_grad=True):
         g = engine.linear_backward(self.store, prefix + ".fc2", grad_out, cache)
         g = engine.relu_backward(cache[prefix + ".pre"], g)
-        return engine.linear_backward(self.store, prefix + ".fc1", g, cache)
+        return engine.linear_backward(self.store, prefix + ".fc1", g, cache, input_grad)
 
     def _backward(self, cache, grad_au, grad_ce, grad_va):
         cfg = self.config
@@ -204,18 +204,22 @@ class Model:
             g_f_ce = g_j_ce
             g_f_au = 0.0
         g_f_au = g_f_au + self._mlp_backward("head_au", grad_au, cache)
-        g_x = self._mlp_backward("extractor_au", g_f_au, cache)
-        g_x = g_x + self._mlp_backward("extractor_ce", g_f_ce, cache)
-        g_x = g_x + self._mlp_backward("extractor_va", g_f_va, cache)
+        # the embedding is a fixed prior: the first layer it meets (the
+        # adapter, else the three extractors) skips its input gradient
+        g_x_au = self._mlp_backward("extractor_au", g_f_au, cache, cfg.adapter)
+        g_x_ce = self._mlp_backward("extractor_ce", g_f_ce, cache, cfg.adapter)
+        g_x_va = self._mlp_backward("extractor_va", g_f_va, cache, cfg.adapter)
         if cfg.adapter:
-            g_x = engine.linear_backward(self.store, "adapter", g_x, cache)
-        return g_x
+            engine.linear_backward(self.store, "adapter", (g_x_au + g_x_ce) + g_x_va, cache,
+                                   input_grad=False)
 
     # -- training and inference ------------------------------------------
 
     def loss_and_grads(self, batch):
         """Forward + masked loss + backward; leaves gradients in the store.
 
+        Every gradient buffer is assigned (not accumulated into), so the
+        result does not depend on what the buffers held before the call.
         batch: list of AffectRecord. Returns the LossBreakdown.
         """
         emb = np.stack([rec.embedding for rec in batch])

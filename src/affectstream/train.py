@@ -64,7 +64,9 @@ def fit(model, records, settings, log_path=None):
 
     Returns the per-epoch mean LossBreakdowns. Batches where every record
     is unlabeled are skipped. Raises NoLabeledDataError when the dataset
-    has no labels at all.
+    has no labels at all, or when an epoch ends without a single sample
+    contributing to any loss (only VA labels, never two in one batch), so
+    that only weight decay would have moved the weights.
     """
     settings.validate()
     records = [r for r in records]
@@ -82,6 +84,12 @@ def fit(model, records, settings, log_path=None):
                     continue
                 batch_stats.append(model.train_step(batch, optimizer))
             stats = _epoch_mean(batch_stats)
+            if stats.n_au + stats.n_ce + stats.n_va == 0:
+                n_va = sum(r.labels.va is not None for r in records)
+                raise NoLabeledDataError(
+                    f"epoch {epoch}: no sample contributed to any loss; the only labels "
+                    f"are VA ({n_va} records), and the VA loss needs at least 2 "
+                    f"VA-labelled records in one batch (batch size {settings.batch_size})")
             history.append(stats)
             if log_fh:
                 log_fh.write(f"{epoch},{stats.l_au:.6f},{stats.l_ce:.6f},"

@@ -131,6 +131,61 @@ def test_train_missing_data_file_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
+def write_dataset(path, dim, rows):
+    """Write a dataset file by hand from its header width and record lines."""
+    path.write_text(f"#affect-v1 dim={dim}\n" + "".join(row + "\n" for row in rows))
+    return path
+
+
+def test_train_va_never_in_pairs_exit_3(tmp_path):
+    """The only label is one VA pair: no batch forms a VA loss, so training
+    would move the weights by decay alone."""
+    data = write_dataset(tmp_path / "va1.csv", 3, ["r0,0.1,0.2,0.3,-,-,0.5,-0.5",
+                                                   "r1,0.4,0.5,0.6,-,-,-,-"])
+    proc = run_cli(["train", "--data", str(data), "--epochs", "2", "--out", "ck.json"],
+                   tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert "VA" in proc.stderr
+    assert not (tmp_path / "ck.json").exists()
+
+
+VERB_ARGS = {
+    "synth": ["--n", "5", "--out", "s.csv"],
+    "train": ["--data", "d.csv", "--out", "ck.json"],
+    "eval": ["--data", "d.csv", "--oracle"],
+    "kfold": ["--data", "d.csv"],
+    "gradcheck": [],
+    "pseudo": ["--data", "d.csv", "--out", "p.csv"],
+}
+
+BAD_INPUT_CASES = [
+    ("pseudo-dim-0", ["pseudo", "--data", "zero.csv", "--out", "p.csv"], "line 1"),
+    ("eval-oracle-dim-0", ["eval", "--data", "zero.csv", "--oracle"], "line 1"),
+    ("kfold-k-over-n", ["kfold", "--data", "d.csv", "--k", "9"], "k=9"),
+    ("noise-std-flag", ["synth", "--noise-std", "-1"] + VERB_ARGS["synth"], "noise-std"),
+    ("noise-std-config", ["synth", "--config", "noise.cfg"] + VERB_ARGS["synth"], "noise_std"),
+] + [(f"seed-flag-{verb}", [verb, "--seed", "-1"] + args, "seed")
+     for verb, args in VERB_ARGS.items()] + [
+    (f"seed-config-{verb}", [verb, "--config", "seed.cfg"] + args, "seed")
+    for verb, args in VERB_ARGS.items()]
+
+
+@pytest.mark.parametrize("argv, named", [case[1:] for case in BAD_INPUT_CASES],
+                         ids=[case[0] for case in BAD_INPUT_CASES])
+def test_bad_input_exit_2(tmp_path, argv, named):
+    """Malformed datasets and out-of-range values exit 2 naming the cause,
+    without a traceback."""
+    rows = [f"r{i},{i}.0,1.0,2.0,-,{i},-,-" for i in range(5)]
+    write_dataset(tmp_path / "d.csv", 3, rows)
+    write_dataset(tmp_path / "zero.csv", 0, ["r0,-,3,-,-"])
+    (tmp_path / "noise.cfg").write_text("noise_std = -1\n")
+    (tmp_path / "seed.cfg").write_text("seed = -1\n")
+    proc = run_cli(argv, tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert named in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # -- eval -----------------------------------------------------------------
 
 

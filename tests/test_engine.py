@@ -58,6 +58,21 @@ def test_linear_backward_accumulates_and_returns_input_grad():
     assert np.allclose(gx, g @ w.T)
 
 
+def test_linear_backward_without_input_grad_assigns_weight_grads_only():
+    store = make_store(fan_in=2, fan_out=3, seed=6)
+    cache = {}
+    x = np.array([[1.0, -2.0], [0.5, 3.0]])
+    linear_forward(store, "fc", x, cache)
+    g = np.array([[1.0, 0.0, -1.0], [0.0, 2.0, 0.5]])
+    dw, db = store.grads("fc")
+    dw.fill(7.0)
+    db.fill(7.0)
+    assert linear_backward(store, "fc", g, cache, input_grad=False) is None
+    assert store.grads("fc")[0] is dw and store.grads("fc")[1] is db
+    assert np.array_equal(dw, x.T @ g)
+    assert np.array_equal(db, g.sum(axis=0))
+
+
 def test_relu_values():
     assert np.array_equal(relu(np.array([[-1.0, 0.0, 2.0]])), [[0.0, 0.0, 2.0]])
     assert np.array_equal(relu(np.array([[-5.0, -0.1]])), [[0.0, 0.0]])
@@ -156,11 +171,19 @@ def test_adam_matches_reference_recurrence_and_converges():
     assert abs(store.params("w")[0][0, 0]) < 1e-3
 
 
-def test_optimizer_zeroes_gradients_after_step():
-    store = make_store(seed=2)
-    store.grads("fc")[0][:] = 1.0
-    Optimizer(mode="sgd", lr=0.1).step(store)
-    assert np.array_equal(store.grads("fc")[0], np.zeros((3, 3)))
+def test_optimizer_step_leaves_gradients_as_written():
+    """step() only reads the gradients; the next backward pass assigns them."""
+    for mode in ("sgd", "adam"):
+        store = make_store(seed=2)
+        rng = make_rng(3)
+        for g in store.grads("fc"):
+            g[...] = rng.normal(size=g.shape)
+        written = [g.copy() for g in store.grads("fc")]
+        buffers = list(store.grads("fc"))
+        Optimizer(mode=mode, lr=0.1, weight_decay=0.01).step(store)
+        for got, buf, want in zip(store.grads("fc"), buffers, written):
+            assert got is buf
+            assert np.array_equal(got, want), mode
 
 
 def test_sgd_decoupled_weight_decay():

@@ -207,6 +207,23 @@ def test_va_loss_gradient_matches_finite_differences():
     assert (np.abs(grad - num) / denom).max() < 1e-5
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-160, 2.0 ** -532, 1e-300])
+def test_va_loss_is_scale_free_down_to_underflowing_denominators(scale):
+    """CCC is scale-free, so the loss at (s*pred, s*truth) equals the loss at
+    (pred, truth) and the gradient is that gradient divided by s, also where
+    the squared spreads underflow (a subnormal or zero CCC denominator)."""
+    rng = make_rng(21)
+    truth = rng.uniform(-1, 1, (8, 2))
+    pred = truth.copy()
+    pred[0] += 0.1  # one entry per column
+    loss, grad = va_loss(pred, truth)
+    loss_s, grad_s = va_loss(scale * pred, scale * truth)
+    assert np.isfinite(grad_s).all()
+    assert loss_s == pytest.approx(loss, rel=1e-12)
+    np.testing.assert_allclose(grad_s * scale, grad, rtol=1e-12, atol=0.0)
+
+
 def test_va_loss_needs_two_samples():
     with pytest.raises(ValueError):
         va_loss(np.zeros((1, 2)), np.zeros((1, 2)))
@@ -366,6 +383,7 @@ def oracle_total_loss(au_l, ce_l, va_p, labels):
     return losses, grads
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(labelled_outputs())
 def test_total_loss_matches_per_sample_oracles(batch):

@@ -293,6 +293,14 @@ def test_full_graph_gradient_check_both_variants():
         assert result.max_rel_err < 1e-5, (variant, result)
 
 
+def test_full_graph_gradient_check_with_adapter():
+    for variant in ("streaming", "parallel"):
+        model, batch = make_gradcheck_setup(variant=variant, adapter=True)
+        result = finite_diff_check(lambda: model.loss_and_grads(batch).total,
+                                   model.store, eps=1e-5)
+        assert result.max_rel_err < 1e-5, (variant, result)
+
+
 def test_train_step_changes_params_and_lowers_loss():
     cfg = small_config(seed=26)
     model = build(cfg)

@@ -57,6 +57,21 @@ def test_fit_rejects_fully_unlabeled_data():
         fit(model, records, quick_settings())
 
 
+def va_only(records):
+    return [AffectRecord(id=r.id, embedding=r.embedding, labels=LabelSet(va=r.labels.va))
+            for r in records]
+
+
+def test_fit_rejects_epoch_without_contributing_sample():
+    """VA-only data at batch size 1 never forms a VA loss: no silent no-op."""
+    records = va_only(small_records(n=6))
+    model = Model(NetConfig(seed=0, **SMALL_NET))
+    with pytest.raises(NoLabeledDataError, match="epoch 1.*VA"):
+        fit(model, records, quick_settings(batch_size=1, weight_decay=0.01))
+    history = fit(model, records, quick_settings(batch_size=3))
+    assert all(bd.n_va == 6 and bd.l_va > 0.0 for bd in history)
+
+
 def test_fit_counts_only_labeled_samples():
     labeled = small_records(n=10)
     bare = [AffectRecord(id=f"u{i}", embedding=np.zeros(32), labels=LabelSet())
