@@ -14,7 +14,8 @@ import sys
 
 import numpy as np
 
-from .data import DatasetFormatError, load_dataset, save_dataset
+from .data import (DatasetFormatError, load_dataset, read_dataset_dim, save_dataset,
+                   save_datasets)
 from .engine import finite_diff_check
 from .metrics import ScoreWeights, evaluate
 from .model import CheckpointError, Model, NetConfig, load_checkpoint, save_checkpoint
@@ -112,9 +113,8 @@ def cmd_synth(args):
         seed=args.seed,
     )
     records, truth = synth_generate(config)
-    save_dataset(records, args.out, dim=config.embed_dim)
     truth_out = args.truth_out or (args.out + ".truth")
-    save_dataset(truth, truth_out, dim=config.embed_dim)
+    save_datasets([(args.out, records), (truth_out, truth)], config.embed_dim)
     n_au = sum(r.labels.au is not None for r in records)
     n_ce = sum(r.labels.ce is not None for r in records)
     n_va = sum(r.labels.va is not None for r in records)
@@ -259,7 +259,7 @@ def cmd_pseudo(args):
     table = parse_rule_file(args.rules) if args.rules else default_rule_table()
     out_records, filled = pseudo_apply(records, table)
     save_dataset(out_records, args.out,
-                 dim=len(records[0].embedding) if records else None)
+                 dim=len(records[0].embedding) if records else read_dataset_dim(args.data))
     print(f"filled {filled} CE labels; wrote {args.out}")
     return EXIT_OK
 

@@ -57,6 +57,8 @@ class NetConfig:
             raise ValueError(f"all dimensions must be >= 1: {self}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def ce_in_dim(self):
@@ -231,9 +233,15 @@ class Model:
         return breakdown
 
     def train_step(self, batch, optimizer):
-        """One optimization step on a batch; returns its LossBreakdown."""
+        """One optimization step on a batch; returns its LossBreakdown.
+
+        A batch from which no sample contributes to any loss (say one VA
+        row and no AU or CE labels) takes no step: the weights, Adam's
+        moments and its step count stay as they were.
+        """
         breakdown = self.loss_and_grads(batch)
-        optimizer.step(self.store)
+        if breakdown.n_au + breakdown.n_ce + breakdown.n_va:
+            optimizer.step(self.store)
         return breakdown
 
     def predict(self, embeddings):

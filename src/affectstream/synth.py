@@ -71,6 +71,8 @@ class SynthConfig:
                 raise ValueError(f"missing rates must be in [0, 1]: {self}")
         if self.noise_std < 0.0:
             raise ValueError(f"noise_std must be >= 0: {self}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _label_maps(rng, ld):
@@ -137,11 +139,13 @@ def synth_generate(config, rules=None):
         if ce is None:
             ce = int(ce_fallback[i])
         rec_id = f"s{i:06d}"
+        # one row object for both records lets save_datasets format it once
+        emb = embeddings[i]
         truth.append(AffectRecord(
-            id=rec_id, embedding=embeddings[i],
+            id=rec_id, embedding=emb,
             labels=LabelSet(au=au_bits[i].copy(), ce=ce, va=va[i].copy())))
         records.append(AffectRecord(
-            id=rec_id, embedding=embeddings[i],
+            id=rec_id, embedding=emb,
             labels=LabelSet(
                 au=au_bits[i].copy() if drop_au[i] >= config.missing_au else None,
                 ce=ce if drop_ce[i] >= config.missing_ce else None,

@@ -35,6 +35,8 @@ class TrainSettings:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.weight_decay < 0.0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _epoch_mean(breakdowns):

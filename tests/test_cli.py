@@ -347,6 +347,22 @@ def test_pseudo_without_au_labels_copies_dataset(tmp_path):
     assert (tmp_path / "out.csv").read_bytes() == data.read_bytes()
 
 
+def test_pseudo_keeps_the_header_width_of_an_empty_dataset(tmp_path):
+    data = tmp_path / "empty.csv"
+    data.write_text("#affect-v1 dim=3\n")
+    proc = run_cli(["pseudo", "--data", str(data), "--out", "out.csv"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out.csv").read_bytes() == data.read_bytes()
+
+
+def test_synth_bad_truth_path_leaves_no_dataset(tmp_path):
+    proc = run_cli(["synth"] + SYNTH_SMALL + ["--out", "d.csv", "--truth-out",
+                                              "/no-such-dir/t.csv"], tmp_path)
+    assert proc.returncode == 2
+    assert "error" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_pseudo_malformed_rule_file_exit_5(tmp_path):
     data = make_dataset(tmp_path)
     rules = tmp_path / "rules.txt"

@@ -6,6 +6,8 @@ from affectstream.data import (AffectRecord, DatasetFormatError, LabelSet,
                                save_dataset, with_ce)
 from affectstream.engine import make_rng
 
+pytestmark = pytest.mark.filterwarnings("error::ResourceWarning")
+
 
 def make_records(n, dim=8, seed=0):
     rng = make_rng(seed)

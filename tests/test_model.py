@@ -65,6 +65,11 @@ def test_config_validation():
         NetConfig(variant="serial").validate()
 
 
+def test_negative_seed_is_named_by_the_config():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        Model(NetConfig(seed=-1))
+
+
 # -- forward semantics ---------------------------------------------------
 
 
@@ -310,6 +315,24 @@ def test_train_step_changes_params_and_lowers_loss():
     for _ in range(60):
         last = model.train_step(batch, opt).total
     assert last < first
+
+
+def test_train_step_skips_a_batch_without_contributing_samples():
+    cfg = small_config(seed=30)
+    model = build(cfg)
+    opt = Optimizer(mode="adam", lr=5e-3, weight_decay=1e-2)
+    model.train_step(make_batch(cfg, make_rng(31), 8), opt)
+    before = {name: [p.copy() for p in model.store.params(name)] for name in model.store.names()}
+    moments = {name: [m.copy() for m in opt._m[name] + opt._v[name]] for name in opt._m}
+    steps = opt._t
+    bd = model.train_step(make_batch(cfg, make_rng(32), 1, pattern="va_only"), opt)
+    assert bd.n_au == bd.n_ce == bd.n_va == 0
+    assert opt._t == steps
+    for name in model.store.names():
+        for p, q in zip(model.store.params(name), before[name]):
+            assert np.array_equal(p, q), name
+        for m, n in zip(opt._m[name] + opt._v[name], moments[name]):
+            assert np.array_equal(m, n), name
 
 
 # -- checkpoints ---------------------------------------------------------

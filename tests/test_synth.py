@@ -137,6 +137,11 @@ def test_config_validation():
         synth_generate(SynthConfig(n=5, noise_std=-0.1))
 
 
+def test_negative_seed_is_named_by_the_config():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        synth_generate(SynthConfig(n=5, seed=-1))
+
+
 def test_record_ids_are_stable_and_sorted():
     records, _ = synth_generate(SynthConfig(n=12, latent_dim=4, embed_dim=8,
                                             lift_hidden=4, seed=10))

@@ -33,6 +33,11 @@ def test_settings_validation():
         TrainSettings(weight_decay=-1e-3).validate()
 
 
+def test_negative_seed_is_named_by_the_settings():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        TrainSettings(seed=-1).validate()
+
+
 def test_fit_returns_one_breakdown_per_epoch(tmp_path):
     records = small_records()
     model = Model(NetConfig(seed=0, **SMALL_NET))
