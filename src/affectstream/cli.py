@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from .data import (DatasetFormatError, load_dataset, read_dataset_dim, save_dataset,
-                   save_datasets)
+                   save_datasets, undecodable)
 from .engine import finite_diff_check
 from .metrics import ScoreWeights, evaluate
 from .model import CheckpointError, Model, NetConfig, load_checkpoint, save_checkpoint
@@ -58,8 +59,15 @@ def nonneg_int(text):
     return value
 
 
-def nonneg_float(text):
+def finite_float(text):
     value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+def nonneg_float(text):
+    value = finite_float(text)
     if value < 0.0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
@@ -68,8 +76,10 @@ def nonneg_float(text):
 def load_config_file(path):
     """Line-oriented `key = value` settings; '#' starts a comment."""
     settings = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
+            if undecodable(line):
+                raise UsageError(f"{path}:{line_no}: not valid UTF-8 text")
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -112,6 +122,10 @@ def cmd_synth(args):
         embed_dim=_resolve(args, "embed_dim", positive_int, 512),
         seed=args.seed,
     )
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     records, truth = synth_generate(config)
     truth_out = args.truth_out or (args.out + ".truth")
     save_datasets([(args.out, records), (truth_out, truth)], config.embed_dim)
@@ -136,7 +150,7 @@ def _train_settings(args):
     return TrainSettings(
         epochs=_resolve(args, "epochs", positive_int, 50),
         batch_size=_resolve(args, "batch_size", positive_int, 64),
-        lr=_resolve(args, "lr", float, 1e-3),
+        lr=_resolve(args, "lr", finite_float, 1e-3),
         weight_decay=_resolve(args, "weight_decay", nonneg_float, 0.0),
         optimizer=_resolve(args, "optimizer", str, "adam"),
         seed=args.seed,
@@ -161,12 +175,12 @@ def cmd_train(args):
 
 def _score_weights(args):
     return ScoreWeights(
-        au_f1=_resolve(args, "w_au_f1", float, 0.5),
-        au_tacc=_resolve(args, "w_au_tacc", float, 0.5),
-        ce_f1=_resolve(args, "w_ce_f1", float, 0.67),
-        ce_acc=_resolve(args, "w_ce_acc", float, 0.33),
-        va_v=_resolve(args, "w_va_v", float, 0.5),
-        va_a=_resolve(args, "w_va_a", float, 0.5),
+        au_f1=_resolve(args, "w_au_f1", finite_float, 0.5),
+        au_tacc=_resolve(args, "w_au_tacc", finite_float, 0.5),
+        ce_f1=_resolve(args, "w_ce_f1", finite_float, 0.67),
+        ce_acc=_resolve(args, "w_ce_acc", finite_float, 0.33),
+        va_v=_resolve(args, "w_va_v", finite_float, 0.5),
+        va_a=_resolve(args, "w_va_a", finite_float, 0.5),
     )
 
 
@@ -234,7 +248,7 @@ def cmd_kfold(args):
 def cmd_gradcheck(args):
     variant = _resolve(args, "variant", str, "streaming")
     adapter = _adapter_flag(_resolve(args, "adapter", str, "off"))
-    eps = _resolve(args, "eps", float, 1e-5)
+    eps = _resolve(args, "eps", finite_float, 1e-5)
     model, batch = make_gradcheck_setup(variant=variant, adapter=adapter, seed=args.seed)
 
     def loss_fn():
@@ -293,7 +307,7 @@ def build_parser():
     def add_train_opts(p):
         p.add_argument("--epochs", type=positive_int, default=None)
         p.add_argument("--batch-size", dest="batch_size", type=positive_int, default=None)
-        p.add_argument("--lr", type=float, default=None)
+        p.add_argument("--lr", type=finite_float, default=None)
         p.add_argument("--weight-decay", dest="weight_decay", type=nonneg_float, default=None)
         p.add_argument("--optimizer", choices=("adam", "sgd"), default=None)
         p.add_argument("--variant", choices=("streaming", "parallel"), default=None)
@@ -308,12 +322,12 @@ def build_parser():
     p.set_defaults(func=cmd_train)
 
     def add_weight_opts(p):
-        p.add_argument("--w-au-f1", dest="w_au_f1", type=float, default=None)
-        p.add_argument("--w-au-tacc", dest="w_au_tacc", type=float, default=None)
-        p.add_argument("--w-ce-f1", dest="w_ce_f1", type=float, default=None)
-        p.add_argument("--w-ce-acc", dest="w_ce_acc", type=float, default=None)
-        p.add_argument("--w-va-v", dest="w_va_v", type=float, default=None)
-        p.add_argument("--w-va-a", dest="w_va_a", type=float, default=None)
+        p.add_argument("--w-au-f1", dest="w_au_f1", type=finite_float, default=None)
+        p.add_argument("--w-au-tacc", dest="w_au_tacc", type=finite_float, default=None)
+        p.add_argument("--w-ce-f1", dest="w_ce_f1", type=finite_float, default=None)
+        p.add_argument("--w-ce-acc", dest="w_ce_acc", type=finite_float, default=None)
+        p.add_argument("--w-va-v", dest="w_va_v", type=finite_float, default=None)
+        p.add_argument("--w-va-a", dest="w_va_a", type=finite_float, default=None)
 
     p = sub.add_parser("eval", help="score a checkpoint on a labeled dataset")
     add_common(p)
@@ -339,7 +353,7 @@ def build_parser():
     add_common(p)
     p.add_argument("--variant", choices=("streaming", "parallel"), default=None)
     p.add_argument("--adapter", choices=("on", "off"), default=None)
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--eps", type=finite_float, default=None)
     p.add_argument("--corrupt-grad", dest="corrupt_grad", action="store_true",
                    help="debug: tamper with one analytic gradient to force a failure")
     p.set_defaults(func=cmd_gradcheck)

@@ -14,6 +14,8 @@ from itertools import zip_longest
 
 import numpy as np
 
+from ._floattext import format_rows
+
 # Label-space conventions. The AU set and emotion-class order are metadata,
 # not hard-wired semantics: everything downstream indexes by position.
 AU_NAMES = ["AU1", "AU2", "AU4", "AU6", "AU7", "AU10",
@@ -73,6 +75,11 @@ class LabelSet:
 def _check_id(rec_id):
     if not rec_id or "," in rec_id:
         raise ValueError(f"record id must be non-empty and comma-free: {rec_id!r}")
+    # the loader splits lines as str.splitlines() and strips fields, so it
+    # could not give such an id back
+    if rec_id.splitlines() != [rec_id] or rec_id.strip() != rec_id:
+        raise ValueError(f"record id must hold no line break and no surrounding "
+                         f"whitespace: {rec_id!r}")
 
 
 @dataclass
@@ -117,8 +124,9 @@ def save_datasets(outputs, dim):
     file behind, and a file that cannot be opened or written removes the
     files this call opened. Rows are written one at a time, the i-th row of
     each output in turn; when those records hold the very same embedding
-    object, its text is formatted once and reused. The bytes are those of
-    one save_dataset call per output.
+    object, its text is formatted once and reused. Embeddings are formatted
+    a block of rows at a time (see _floattext), each entry as its repr().
+    The bytes are those of one save_dataset call per output.
     """
     outputs = [(path, list(records)) for path, records in outputs]
     for _, records in outputs:
@@ -145,6 +153,7 @@ def save_datasets(outputs, dim):
 def _write_rows(files, columns, dim):
     for fh in files:
         fh.write(f"{_HEADER_PREFIX}{dim}\n")
+    texts = format_rows(_distinct_embeddings(columns), dim)
     for row in zip_longest(*columns):
         emb_obj = emb_text = None
         for fh, rec in zip(files, row):
@@ -152,15 +161,26 @@ def _write_rows(files, columns, dim):
                 continue
             if rec.embedding is not emb_obj:
                 emb_obj = rec.embedding
-                emb_text = ",".join(map(repr, np.asarray(emb_obj, dtype=float).tolist()))
+                emb_text = next(texts)
             fh.write(f"{rec.id},{emb_text},{_format_labels(rec.labels)}\n")
+
+
+def _distinct_embeddings(columns):
+    """The embeddings _write_rows formats, in its order: in each row, every
+    one that is not the very object the previous output's record holds."""
+    for row in zip_longest(*columns):
+        emb_obj = None
+        for rec in row:
+            if rec is not None and rec.embedding is not emb_obj:
+                emb_obj = rec.embedding
+                yield emb_obj
 
 
 def save_dataset(records, path, dim=None):
     """Write records in the line-oriented text format (bit-exact round trip).
 
     Rows are written as they are formatted, so memory stays bounded by one
-    row; see save_datasets.
+    block of rows; see save_datasets.
     """
     records = list(records)
     if dim is None:
@@ -192,12 +212,33 @@ def _parse_labels(au_s, ce_s, va_s, aa_s, line_no):
     return LabelSet(au=au, ce=ce, va=va)
 
 
+def undecodable(text):
+    """Whether text read with errors="surrogateescape" held bytes that are
+    not UTF-8."""
+    if text.isascii():
+        return False
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
 def _lines(fh):
-    """The file's lines as str.splitlines() gives them, one at a time."""
+    """The file's lines as str.splitlines() gives them, numbered from 1.
+
+    fh is read with errors="surrogateescape"; a line holding bytes that
+    are not UTF-8 is a DatasetFormatError.
+    """
+    line_no = 0
     for raw in fh:
         # universal newlines split at \n, \r and \r\n; splitlines() also
         # breaks at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029
-        yield from raw.splitlines()
+        for line in raw.splitlines():
+            line_no += 1
+            if undecodable(line):
+                raise DatasetFormatError(line_no, "not valid UTF-8 text")
+            yield line_no, line
 
 
 def _parse_embedding(fields, line_no):
@@ -216,7 +257,7 @@ def _parse_embedding(fields, line_no):
 
 
 def _read_dim(lines):
-    header = next(lines, None)
+    _, header = next(lines, (1, None))
     if header is None or not header.startswith(_HEADER_PREFIX):
         raise DatasetFormatError(1, f"missing header '{_HEADER_PREFIX}<dim>'")
     try:
@@ -236,12 +277,12 @@ def load_dataset(path):
     records take one allocation per block instead of one per row, and memory
     beyond them stays bounded by one line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         lines = _lines(fh)
         dim = _read_dim(lines)
         block_rows = max(1, _BLOCK_BYTES // (8 * dim))
         records = []
-        for line_no, line in enumerate(lines, start=2):
+        for line_no, line in lines:
             if not line.strip():
                 continue
             fields = line.split(",")
@@ -264,7 +305,7 @@ def load_dataset(path):
 
 def read_dataset_dim(path):
     """Embedding width declared by a dataset file's header line."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return _read_dim(_lines(fh))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .data import AU_NAMES, CE_NAMES, N_AU, N_CE, with_ce
+from .data import AU_NAMES, CE_NAMES, N_AU, N_CE, undecodable, with_ce
 
 
 class RuleParseError(ValueError):
@@ -94,10 +94,12 @@ def parse_rule_file(path):
 
     Blank lines and '#' comments are ignored.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         lines = fh.read().splitlines()
     rules = []
     for line_no, line in enumerate(lines, start=1):
+        if undecodable(line):
+            raise RuleParseError(line_no, "not valid UTF-8 text")
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

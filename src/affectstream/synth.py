@@ -69,8 +69,8 @@ class SynthConfig:
         for rate in (self.missing_au, self.missing_ce, self.missing_va):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"missing rates must be in [0, 1]: {self}")
-        if self.noise_std < 0.0:
-            raise ValueError(f"noise_std must be >= 0: {self}")
+        if not 0.0 <= self.noise_std < np.inf:
+            raise ValueError(f"noise_std must be finite and >= 0: {self}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

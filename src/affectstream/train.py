@@ -33,8 +33,10 @@ class TrainSettings:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.weight_decay < 0.0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not np.isfinite(self.lr):
+            raise ValueError(f"lr must be finite, got {self.lr}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

@@ -209,6 +209,7 @@ def convergence(tmp_path_factory):
     return {"dir": out_dir, "report": report, "seconds": seconds}
 
 
+@pytest.mark.slow
 def test_criterion_5_synthetic_convergence(capsys, convergence):
     report = convergence["report"]
     mean_ccc = (report.ccc_v + report.ccc_a) / 2.0
@@ -252,6 +253,7 @@ def test_criterion_6_pseudo_label_correctness(capsys):
 # -- 7: determinism -------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_7_artifact_determinism(capsys, convergence, tmp_path):
     run2 = tmp_path / "run2"
     _, seconds = _convergence_run(run2)

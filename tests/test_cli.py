@@ -164,6 +164,9 @@ BAD_INPUT_CASES = [
     ("kfold-k-over-n", ["kfold", "--data", "d.csv", "--k", "9"], "k=9"),
     ("noise-std-flag", ["synth", "--noise-std", "-1"] + VERB_ARGS["synth"], "noise-std"),
     ("noise-std-config", ["synth", "--config", "noise.cfg"] + VERB_ARGS["synth"], "noise_std"),
+    ("noise-std-nan-config", ["synth", "--config", "nan.cfg"] + VERB_ARGS["synth"], "noise_std"),
+    ("latent-dim-1", ["synth", "--latent-dim", "1"] + VERB_ARGS["synth"], "latent_dim"),
+    ("lr-nan-flag", ["train", "--lr", "nan"] + VERB_ARGS["train"], "lr"),
 ] + [(f"seed-flag-{verb}", [verb, "--seed", "-1"] + args, "seed")
      for verb, args in VERB_ARGS.items()] + [
     (f"seed-config-{verb}", [verb, "--config", "seed.cfg"] + args, "seed")
@@ -179,6 +182,7 @@ def test_bad_input_exit_2(tmp_path, argv, named):
     write_dataset(tmp_path / "d.csv", 3, rows)
     write_dataset(tmp_path / "zero.csv", 0, ["r0,-,3,-,-"])
     (tmp_path / "noise.cfg").write_text("noise_std = -1\n")
+    (tmp_path / "nan.cfg").write_text("noise_std = nan\n")
     (tmp_path / "seed.cfg").write_text("seed = -1\n")
     proc = run_cli(argv, tmp_path)
     assert proc.returncode == 2, proc.stderr
@@ -399,3 +403,37 @@ def test_config_file_bad_value_exit_2(tmp_path):
                     "--out", "ck.json"], tmp_path)
     assert proc.returncode == 2
     assert "epochs" in proc.stderr
+
+
+# -- undecodable files ----------------------------------------------------
+
+
+UNDECODABLE_CASES = [
+    ("pseudo-data", ["pseudo", "--data", "bad.csv", "--out", "p.csv"], 2, "line 2"),
+    ("train-data", ["train", "--data", "bad.csv", "--out", "ck.json"], 2, "line 2"),
+    ("eval-data", ["eval", "--data", "bad.csv", "--oracle"], 2, "line 2"),
+    ("kfold-data", ["kfold", "--data", "bad.csv"], 2, "line 2"),
+    ("pseudo-rules", ["pseudo", "--data", "d.csv", "--rules", "bad.rules", "--out", "p.csv"],
+     5, "line 2"),
+    ("synth-config", ["synth", "--config", "bad.cfg", "--n", "5", "--out", "s.csv"], 2,
+     "bad.cfg:2"),
+    ("eval-checkpoint", ["eval", "--data", "d.csv", "--checkpoint", "bad.json"], 4,
+     "checkpoint"),
+]
+
+
+@pytest.mark.parametrize("argv, code, named", [case[1:] for case in UNDECODABLE_CASES],
+                         ids=[case[0] for case in UNDECODABLE_CASES])
+def test_undecodable_file_exits_with_its_code(tmp_path, argv, code, named):
+    """A byte that is not UTF-8 gets the code of the file it is in, naming
+    the line where there is one, without a traceback."""
+    rows = [f"r{i},{i}.0,1.0,2.0,-,{i},-,-" for i in range(5)]
+    write_dataset(tmp_path / "d.csv", 3, rows)
+    (tmp_path / "bad.csv").write_bytes(b"#affect-v1 dim=3\nr0,1.0,\xff,2.0,-,1,-,-\n")
+    (tmp_path / "bad.rules").write_bytes(b"# rules\nREQ au6 FORBID au4 => 4 \xff\n")
+    (tmp_path / "bad.cfg").write_bytes(b"seed = 1\nlatent_dim = \xff\n")
+    (tmp_path / "bad.json").write_bytes(b'{"format": "\xff"}\n')
+    proc = run_cli(argv, tmp_path)
+    assert proc.returncode == code, proc.stderr
+    assert named in proc.stderr
+    assert "Traceback" not in proc.stderr

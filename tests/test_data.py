@@ -121,7 +121,38 @@ def test_malformed_rows_rejected(tmp_path, bad_row, what):
     assert err.value.line_no == 2, what
 
 
+@pytest.mark.parametrize("raw, line_no", [
+    (b"#affect-v1 dim=2\nr0,1.0,\xff,-,-,-,-\n", 2),
+    (b"#affect-v1 dim=\xc3\n", 1),
+    # NEL, \n and U+2028 each end a line; the encoded surrogate is not UTF-8
+    (b"#affect-v1 dim=2\nr0,1.0,2.0,-,-,-,-\r\n\xc2\x85\n\xe2\x80\xa8"
+     b"r1\xed\xa0\x80,1,2,-,-,-,-\n", 6),
+])
+def test_undecodable_line_is_named(tmp_path, raw, line_no):
+    """Bytes that are not UTF-8 are a format error on the line holding
+    them, counted as str.splitlines() counts lines."""
+    path = tmp_path / "d.txt"
+    path.write_bytes(raw)
+    with pytest.raises(DatasetFormatError, match="not valid UTF-8") as err:
+        load_dataset(path)
+    assert err.value.line_no == line_no
+
+
 # -- validation ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("rec_id", ["a\nb", "a\r", "a\x1cb", "a\u2028b", " c ", "c\t",
+                                    "\xa0c", "c\x1f"])
+def test_save_rejects_ids_the_loader_cannot_give_back(tmp_path, rec_id):
+    rec = AffectRecord(id=rec_id, embedding=np.zeros(2), labels=LabelSet())
+    with pytest.raises(ValueError, match="line break"):
+        save_dataset([rec], tmp_path / "d.txt")
+    assert not (tmp_path / "d.txt").exists()
+
+
+def test_loader_still_strips_ids(tmp_path):
+    path = write_lines(tmp_path, "#affect-v1 dim=1", " \tr0 ,1.0,-,-,-,-")
+    assert load_dataset(path)[0].id == "r0"
 
 
 def test_labelset_validation():
