@@ -6,13 +6,13 @@ parallel-heads ablation variant, all on a deterministic double-precision
 engine.
 """
 
-from .data import (AU_NAMES, CE_NAMES, N_AU, N_CE, AffectRecord, LabelSet,
-                   batch_iter, kfold_split, load_dataset, save_dataset)
+from .data import (AU_NAMES, CE_NAMES, N_AU, N_CE, AffectRecord, Batch, LabelColumns,
+                   LabelSet, batch_iter, kfold_split, load_dataset, save_dataset)
 from .engine import Optimizer, ParamStore, finite_diff_check, make_rng
 from .losses import LossBreakdown, ccc, multilabel_ce, softmax_ce, total_loss, va_loss
 from .metrics import MetricReport, ScoreWeights, au_metrics, binary_f1, ce_metrics, \
     evaluate, track_scores
-from .model import Model, NetConfig, Prediction, build, load_checkpoint, save_checkpoint
+from .model import Model, NetConfig, Prediction, load_checkpoint, save_checkpoint
 from .pseudo import PseudoRule, PseudoRuleTable, default_rule_table, parse_rule_file, \
     pseudo_apply, pseudo_infer
 from .synth import SynthConfig, synth_generate

@@ -12,14 +12,14 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 
-import numpy as np
-
-from .data import (DatasetFormatError, load_dataset, read_dataset_dim, save_dataset,
-                   save_datasets, undecodable)
-from .engine import finite_diff_check
+from .data import (DatasetFormatError, LabelColumns, load_dataset, read_dataset_dim,
+                   save_dataset, save_datasets, undecodable)
+from .engine import OPTIMIZERS, finite_diff_check
 from .metrics import ScoreWeights, evaluate
-from .model import CheckpointError, Model, NetConfig, load_checkpoint, save_checkpoint
+from .model import (VARIANTS, CheckpointError, Model, NetConfig, load_checkpoint,
+                    save_checkpoint)
 from .pseudo import RuleParseError, default_rule_table, parse_rule_file, pseudo_apply
 from .synth import SynthConfig, synth_generate
 from .train import (NoLabeledDataError, TrainSettings, evaluate_model, fit,
@@ -38,39 +38,51 @@ class UsageError(ValueError):
     """Bad flag or config-file value; exits 2."""
 
 
-def positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def checked(cast, ok, rule):
+    """Type for a flag whose text cast() must give a value for which ok() holds."""
+    def check(text):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+    check.__name__ = cast.__name__
+    return check
 
 
-def rate_float(text):
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
-    return value
+positive_int = checked(int, lambda v: v >= 1, ">= 1")
+nonneg_int = checked(int, lambda v: v >= 0, ">= 0")
+finite_float = checked(float, math.isfinite, "finite")
+rate_float = checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+nonneg_float = checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+positive_float = checked(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
 
 
-def nonneg_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def choice(mapping):
+    """Type for a flag that takes one of mapping's keys; gives its value."""
+    def cast(text):
+        if text not in mapping:
+            raise argparse.ArgumentTypeError(
+                f"must be one of {', '.join(mapping)}, got {text!r}")
+        return mapping[text]
+    cast.metavar = "{" + ",".join(mapping) + "}"
+    return cast
 
 
-def finite_float(text):
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
-    return value
-
-
-def nonneg_float(text):
-    value = finite_float(text)
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+# the type of the flag and config key of each dataclass field the CLI sets;
+# the default is the field's own
+FIELD_TYPES = {
+    SynthConfig: dict(latent_dim=positive_int, noise_std=nonneg_float,
+                      missing_au=rate_float, missing_ce=rate_float, missing_va=rate_float,
+                      embed_dim=positive_int),
+    NetConfig: dict(variant=choice({v: v for v in VARIANTS}),
+                    adapter=choice({"on": True, "off": False})),
+    TrainSettings: dict(epochs=positive_int, batch_size=positive_int, lr=finite_float,
+                        weight_decay=nonneg_float,
+                        optimizer=choice({m: m for m in OPTIMIZERS})),
+    ScoreWeights: {f.name: finite_float for f in fields(ScoreWeights)},
+}
+# ScoreWeights flags read --w-au-f1 and so on
+PREFIX = {ScoreWeights: "w_"}
 
 
 def load_config_file(path):
@@ -90,8 +102,9 @@ def load_config_file(path):
     return settings
 
 
-def _resolve(args, key, cast, default):
-    """Flag value if given, else config-file value, else default."""
+def _resolve(args, key, cast, default=None):
+    """Flag value if given, else the config-file value cast as the flag's,
+    else default."""
     value = getattr(args, key, None)
     if value is not None:
         return value
@@ -104,24 +117,31 @@ def _resolve(args, key, cast, default):
     return default
 
 
-def _adapter_flag(value):
-    return value == "on"
+def add_fields(parser, cls):
+    """One flag per CLI field of dataclass cls, e.g. --batch-size."""
+    for name, cast in FIELD_TYPES[cls].items():
+        key = PREFIX.get(cls, "") + name
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=cast, default=None,
+                            metavar=getattr(cast, "metavar", None))
+
+
+def from_fields(args, cls, **given):
+    """A cls whose CLI fields come from their flag, else config key, else
+    the field default; a seed given by flag or config key sets its seed."""
+    for name, cast in FIELD_TYPES[cls].items():
+        value = _resolve(args, PREFIX.get(cls, "") + name, cast)
+        if value is not None:
+            given[name] = value
+    if args.seed is not None and "seed" in {f.name for f in fields(cls)}:
+        given["seed"] = args.seed
+    return cls(**given)
 
 
 # -- commands ------------------------------------------------------------
 
 
 def cmd_synth(args):
-    config = SynthConfig(
-        n=args.n,
-        latent_dim=_resolve(args, "latent_dim", positive_int, 16),
-        missing_au=_resolve(args, "missing_au", rate_float, 0.0),
-        missing_ce=_resolve(args, "missing_ce", rate_float, 0.0),
-        missing_va=_resolve(args, "missing_va", rate_float, 0.0),
-        noise_std=_resolve(args, "noise_std", nonneg_float, 0.0),
-        embed_dim=_resolve(args, "embed_dim", positive_int, 512),
-        seed=args.seed,
-    )
+    config = from_fields(args, SynthConfig, n=args.n)
     try:
         config.validate()
     except ValueError as exc:
@@ -137,33 +157,12 @@ def cmd_synth(args):
     return EXIT_OK
 
 
-def _net_config(args, embed_dim):
-    return NetConfig(
-        embed_dim=embed_dim,
-        variant=_resolve(args, "variant", str, "streaming"),
-        adapter=_adapter_flag(_resolve(args, "adapter", str, "off")),
-        seed=args.seed,
-    )
-
-
-def _train_settings(args):
-    return TrainSettings(
-        epochs=_resolve(args, "epochs", positive_int, 50),
-        batch_size=_resolve(args, "batch_size", positive_int, 64),
-        lr=_resolve(args, "lr", finite_float, 1e-3),
-        weight_decay=_resolve(args, "weight_decay", nonneg_float, 0.0),
-        optimizer=_resolve(args, "optimizer", str, "adam"),
-        seed=args.seed,
-    )
-
-
 def cmd_train(args):
     records = load_dataset(args.data)
     if not records:
         raise NoLabeledDataError("dataset is empty")
-    embed_dim = len(records[0].embedding)
-    model = Model(_net_config(args, embed_dim))
-    settings = _train_settings(args)
+    model = Model(from_fields(args, NetConfig, embed_dim=len(records[0].embedding)))
+    settings = from_fields(args, TrainSettings)
     history = fit(model, records, settings, log_path=args.log)
     save_checkpoint(model, args.out)
     last = history[-1]
@@ -173,30 +172,15 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _score_weights(args):
-    return ScoreWeights(
-        au_f1=_resolve(args, "w_au_f1", finite_float, 0.5),
-        au_tacc=_resolve(args, "w_au_tacc", finite_float, 0.5),
-        ce_f1=_resolve(args, "w_ce_f1", finite_float, 0.67),
-        ce_acc=_resolve(args, "w_ce_acc", finite_float, 0.33),
-        va_v=_resolve(args, "w_va_v", finite_float, 0.5),
-        va_a=_resolve(args, "w_va_a", finite_float, 0.5),
-    )
-
-
 def cmd_eval(args):
     records = load_dataset(args.data)
     if not records:
         raise NoLabeledDataError("dataset is empty")
-    labels = [r.labels for r in records]
-    weights = _score_weights(args)
+    weights = from_fields(args, ScoreWeights)
     if args.oracle:
         # feed the labels back as predictions; every present track scores 1
-        au_pred = np.stack([lab.au if lab.au is not None else np.zeros(12, dtype=np.int64)
-                            for lab in labels])
-        ce_pred = np.array([lab.ce if lab.ce is not None else 0 for lab in labels])
-        va_pred = np.stack([lab.va if lab.va is not None else np.zeros(2) for lab in labels])
-        report = evaluate(au_pred, ce_pred, va_pred, labels, weights=weights)
+        labels = LabelColumns.from_labels(r.labels for r in records)
+        report = evaluate(labels.au, labels.ce, labels.va, labels, weights=weights)
     else:
         if not args.checkpoint:
             raise CheckpointError("--checkpoint is required unless --oracle is given")
@@ -222,13 +206,11 @@ def cmd_kfold(args):
         raise UsageError(f"k must be >= 2, got {k}")
     if k > len(records):
         raise UsageError(f"k={k} exceeds dataset size {len(records)}")
-    net_config = _net_config(args, len(records[0].embedding))
-    settings = _train_settings(args)
-    weights = _score_weights(args)
-    workers = _resolve(args, "workers", positive_int, 1)
-    reports, aggregate = run_kfold(records, k, args.seed, net_config, settings,
-                                   weights=weights, workers=workers)
-    doc = {"k": k, "seed": args.seed,
+    net_config = from_fields(args, NetConfig, embed_dim=len(records[0].embedding))
+    settings = from_fields(args, TrainSettings)
+    reports, aggregate = run_kfold(records, k, settings.seed, net_config, settings,
+                                   weights=from_fields(args, ScoreWeights))
+    doc = {"k": k, "seed": settings.seed,
            "folds": [r.to_dict() for r in reports],
            "aggregate": aggregate}
     for i, rep in enumerate(reports, start=1):
@@ -246,10 +228,9 @@ def cmd_kfold(args):
 
 
 def cmd_gradcheck(args):
-    variant = _resolve(args, "variant", str, "streaming")
-    adapter = _adapter_flag(_resolve(args, "adapter", str, "off"))
-    eps = _resolve(args, "eps", finite_float, 1e-5)
-    model, batch = make_gradcheck_setup(variant=variant, adapter=adapter, seed=args.seed)
+    net = from_fields(args, NetConfig)
+    eps = _resolve(args, "eps", positive_float, 1e-5)
+    model, batch = make_gradcheck_setup(variant=net.variant, adapter=net.adapter, seed=net.seed)
 
     def loss_fn():
         breakdown = model.loss_and_grads(batch)
@@ -261,7 +242,7 @@ def cmd_gradcheck(args):
     result = finite_diff_check(loss_fn, model.store, eps=eps)
     if result.max_rel_err < GRADCHECK_TOL:
         print(f"gradcheck pass: max relative error {result.max_rel_err:.3e} "
-              f"({variant} variant, {model.store.param_count()} parameters)")
+              f"({net.variant} variant, {model.store.param_count()} parameters)")
         return EXIT_OK
     print(f"gradcheck FAIL: max relative error {result.max_rel_err:.3e} "
           f"at {result.worst_param}")
@@ -287,51 +268,28 @@ def build_parser():
         description="Streaming multi-task affective recognition on expression embeddings.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, *classes):
         p.add_argument("--seed", type=nonneg_int, default=None)
         p.add_argument("--config", default=None, help="key = value settings file")
+        for cls in classes:
+            add_fields(p, cls)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset plus truth sidecar")
-    add_common(p)
+    add_common(p, SynthConfig)
     p.add_argument("--n", type=positive_int, required=True)
-    p.add_argument("--latent-dim", dest="latent_dim", type=positive_int, default=None)
-    p.add_argument("--noise-std", dest="noise_std", type=nonneg_float, default=None)
-    p.add_argument("--missing-au", dest="missing_au", type=rate_float, default=None)
-    p.add_argument("--missing-ce", dest="missing_ce", type=rate_float, default=None)
-    p.add_argument("--missing-va", dest="missing_va", type=rate_float, default=None)
-    p.add_argument("--embed-dim", dest="embed_dim", type=positive_int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--truth-out", dest="truth_out", default=None)
     p.set_defaults(func=cmd_synth)
 
-    def add_train_opts(p):
-        p.add_argument("--epochs", type=positive_int, default=None)
-        p.add_argument("--batch-size", dest="batch_size", type=positive_int, default=None)
-        p.add_argument("--lr", type=finite_float, default=None)
-        p.add_argument("--weight-decay", dest="weight_decay", type=nonneg_float, default=None)
-        p.add_argument("--optimizer", choices=("adam", "sgd"), default=None)
-        p.add_argument("--variant", choices=("streaming", "parallel"), default=None)
-        p.add_argument("--adapter", choices=("on", "off"), default=None)
-
     p = sub.add_parser("train", help="train a model and write a checkpoint")
-    add_common(p)
-    add_train_opts(p)
+    add_common(p, TrainSettings, NetConfig)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--log", default=None, help="append per-epoch loss lines here")
     p.set_defaults(func=cmd_train)
 
-    def add_weight_opts(p):
-        p.add_argument("--w-au-f1", dest="w_au_f1", type=finite_float, default=None)
-        p.add_argument("--w-au-tacc", dest="w_au_tacc", type=finite_float, default=None)
-        p.add_argument("--w-ce-f1", dest="w_ce_f1", type=finite_float, default=None)
-        p.add_argument("--w-ce-acc", dest="w_ce_acc", type=finite_float, default=None)
-        p.add_argument("--w-va-v", dest="w_va_v", type=finite_float, default=None)
-        p.add_argument("--w-va-a", dest="w_va_a", type=finite_float, default=None)
-
     p = sub.add_parser("eval", help="score a checkpoint on a labeled dataset")
-    add_common(p)
-    add_weight_opts(p)
+    add_common(p, ScoreWeights)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--out", default=None, help="write the JSON report here")
@@ -340,20 +298,15 @@ def build_parser():
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("kfold", help="k-fold cross-validated train + eval")
-    add_common(p)
-    add_train_opts(p)
-    add_weight_opts(p)
+    add_common(p, TrainSettings, NetConfig, ScoreWeights)
     p.add_argument("--data", required=True)
     p.add_argument("--k", type=positive_int, default=None)
-    p.add_argument("--workers", type=positive_int, default=None)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_kfold)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all analytic gradients")
-    add_common(p)
-    p.add_argument("--variant", choices=("streaming", "parallel"), default=None)
-    p.add_argument("--adapter", choices=("on", "off"), default=None)
-    p.add_argument("--eps", type=finite_float, default=None)
+    add_common(p, NetConfig)
+    p.add_argument("--eps", type=positive_float, default=None)
     p.add_argument("--corrupt-grad", dest="corrupt_grad", action="store_true",
                    help="debug: tamper with one analytic gradient to force a failure")
     p.set_defaults(func=cmd_gradcheck)
@@ -374,7 +327,7 @@ def main(argv=None):
     try:
         args._config = load_config_file(args.config) if args.config else {}
         # every verb takes a seed; validate it once, flag or config key
-        args.seed = _resolve(args, "seed", nonneg_int, 0)
+        args.seed = _resolve(args, "seed", nonneg_int)
         return args.func(args)
     except RuleParseError as exc:
         print(f"error: rule file: {exc}", file=sys.stderr)

@@ -72,6 +72,77 @@ class LabelSet:
                 raise ValueError(f"va must be two finite values in [-1, 1], got {self.va!r}")
 
 
+@dataclass(frozen=True)
+class LabelColumns:
+    """The labels of N samples as columns, each track with its presence.
+
+    au: (N, 12) int8 bits, read where au_mask (N,) is True
+    ce: (N,) int64 class indices, -1 where missing
+    va: (N, 2) float64 (valence, arousal), read where va_mask (N,) is True
+
+    Indexing with an index array or a slice takes those rows.
+    """
+
+    au: np.ndarray
+    au_mask: np.ndarray
+    ce: np.ndarray
+    va: np.ndarray
+    va_mask: np.ndarray
+
+    @classmethod
+    def from_labels(cls, labels):
+        """Columns of a sequence of LabelSets; missing rows hold zeros.
+
+        An AU label that is not 12 bits, a CE label outside 0..6 (-1
+        included) or a VA label that is not two values raises ValueError.
+        """
+        labels = list(labels)
+        bad = [lab.ce for lab in labels if lab.ce is not None and not 0 <= int(lab.ce) < N_CE]
+        if bad:
+            raise ValueError(f"ce class out of range 0..{N_CE - 1}: {bad[0]!r}")
+        ce = np.array([-1 if lab.ce is None else int(lab.ce) for lab in labels], dtype=np.int64)
+        au_mask = np.array([lab.au is not None for lab in labels], dtype=bool)
+        va_mask = np.array([lab.va is not None for lab in labels], dtype=bool)
+        au = np.zeros((len(labels), N_AU), dtype=np.int8)
+        if au_mask.any():
+            rows = np.array([lab.au for lab in labels if lab.au is not None])
+            if rows.shape != (int(au_mask.sum()), N_AU) or not ((rows == 0) | (rows == 1)).all():
+                raise ValueError(f"au labels must be {N_AU} bits")
+            au[au_mask] = rows
+        va = np.zeros((len(labels), 2))
+        if va_mask.any():
+            rows = np.array([lab.va for lab in labels if lab.va is not None], dtype=float)
+            if rows.shape != (int(va_mask.sum()), 2):
+                raise ValueError("va labels must be (valence, arousal) pairs")
+            va[va_mask] = rows
+        return cls(au=au, au_mask=au_mask, ce=ce, va=va, va_mask=va_mask)
+
+    @property
+    def ce_mask(self):
+        return self.ce != -1
+
+    def __len__(self):
+        return len(self.ce)
+
+    def __getitem__(self, idx):
+        return LabelColumns(au=self.au[idx], au_mask=self.au_mask[idx], ce=self.ce[idx],
+                            va=self.va[idx], va_mask=self.va_mask[idx])
+
+    def any_present(self):
+        return bool(self.au_mask.any() or self.ce_mask.any() or self.va_mask.any())
+
+
+@dataclass(frozen=True)
+class Batch:
+    """A training batch: stacked embedding rows (B, D) and their labels."""
+
+    emb: np.ndarray
+    labels: LabelColumns
+
+    def __len__(self):
+        return len(self.labels)
+
+
 def _check_id(rec_id):
     if not rec_id or "," in rec_id:
         raise ValueError(f"record id must be non-empty and comma-free: {rec_id!r}")
@@ -339,16 +410,21 @@ def kfold_split(records, k, seed):
     return splits
 
 
-def batch_iter(records, batch_size, seed, epoch):
-    """Yield shuffled batches for one epoch; the final short batch is kept.
+def batch_iter(records, labels, batch_size, seed, epoch):
+    """Yield one epoch of shuffled Batches; the final short batch is kept.
 
-    The shuffle is seeded with seed XOR epoch so every epoch sees a fresh
-    but reproducible order.
+    records is a sequence of AffectRecords and labels their LabelColumns.
+    Each batch takes its rows of the columns by index and stacks its
+    records' embeddings, so no whole-dataset copy of the embeddings is
+    made. The shuffle is seeded with seed XOR epoch so every epoch sees a
+    fresh but reproducible order.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    records = list(records)
+    if len(labels) != len(records):
+        raise ValueError(f"{len(labels)} label rows for {len(records)} records")
     rng = np.random.Generator(np.random.PCG64(int(seed) ^ int(epoch)))
     order = rng.permutation(len(records))
     for start in range(0, len(records), batch_size):
-        yield [records[j] for j in order[start:start + batch_size]]
+        idx = order[start:start + batch_size]
+        yield Batch(np.stack([records[j].embedding for j in idx]), labels[idx])

@@ -13,6 +13,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 
+OPTIMIZERS = ("adam", "sgd")
+
+
 class DimensionError(ValueError):
     """Input shape does not match a layer or operand."""
 
@@ -45,9 +48,6 @@ class ParamStore:
 
     def names(self):
         return list(self._params)
-
-    def __contains__(self, name):
-        return name in self._params
 
     def params(self, name):
         if name not in self._params:
@@ -172,7 +172,7 @@ class Optimizer:
 
     def __init__(self, mode="adam", lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
                  weight_decay=0.0):
-        if mode not in ("adam", "sgd"):
+        if mode not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer mode {mode!r}")
         if weight_decay < 0.0:
             raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
@@ -251,7 +251,8 @@ def finite_diff_check(loss_fn: Callable[[], float], store, eps=1e-5):
     and leave the matching analytic gradients in the store's gradient
     buffers. Every parameter entry is perturbed by +-eps; the relative error
     uses max(|analytic|, |numeric|, 1e-8) as denominator. Returns the
-    maximum relative error together with the worst entry's name.
+    maximum relative error together with the worst entry's name; a
+    non-finite error (a NaN gradient or loss) counts as inf, the worst.
     """
     store.zero_grads()
     loss_fn()
@@ -274,6 +275,8 @@ def finite_diff_check(loss_fn: Callable[[], float], store, eps=1e-5):
                 numeric = (f_plus - f_minus) / (2.0 * eps)
                 denom = max(abs(a_flat[i]), abs(numeric), 1e-8)
                 rel = abs(a_flat[i] - numeric) / denom
+                if math.isnan(rel):
+                    rel = math.inf
                 if rel > worst.max_rel_err:
                     worst = GradCheckResult(rel, f"{name}.{label}[{i}]")
     store.zero_grads()

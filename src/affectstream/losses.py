@@ -166,12 +166,12 @@ def total_loss(au_logits, ce_logits, va_pred, labels):
     """Masked multi-task loss over one batch.
 
     au_logits (B, 12), ce_logits (B, 7), va_pred (B, 2) are the network
-    outputs; labels is a list of B LabelSet. AU and CE losses are averaged
-    over their labeled samples; the VA loss is a single batch-level quantity
-    over the VA-labeled subset and is skipped (zero, count 0) when that
-    subset has fewer than 2 samples. Unlabeled tracks get exactly-zero
-    gradients. Each track is evaluated for the whole batch at once; the
-    scalar multilabel_ce, softmax_ce and va_loss are its reference.
+    outputs; labels is the batch's LabelColumns (B rows). AU and CE losses
+    are averaged over their labeled samples; the VA loss is a single
+    batch-level quantity over the VA-labeled subset and is skipped (zero,
+    count 0) when that subset has fewer than 2 samples. Unlabeled tracks get
+    exactly-zero gradients. Each track is evaluated for the whole batch at
+    once; the scalar multilabel_ce, softmax_ce and va_loss are its reference.
 
     Returns (LossBreakdown, (grad_au, grad_ce, grad_va)).
     """
@@ -182,10 +182,10 @@ def total_loss(au_logits, ce_logits, va_pred, labels):
     if n == 0 or au_logits.shape != (n, N_AU) or ce_logits.shape != (n, N_CE) \
             or va_pred.shape != (n, 2):
         raise ValueError("prediction shapes do not match the batch")
-    au_idx = [i for i, lab in enumerate(labels) if lab.au is not None]
-    ce_idx = [i for i, lab in enumerate(labels) if lab.ce is not None]
-    va_idx = [i for i, lab in enumerate(labels) if lab.va is not None]
-    if not (au_idx or ce_idx or va_idx):
+    au_idx = np.flatnonzero(labels.au_mask)
+    ce_idx = np.flatnonzero(labels.ce_mask)
+    va_idx = np.flatnonzero(labels.va_mask)
+    if not (au_idx.size or ce_idx.size or va_idx.size):
         raise ValueError("batch has no labels on any track")
 
     bd = LossBreakdown()
@@ -193,26 +193,21 @@ def total_loss(au_logits, ce_logits, va_pred, labels):
     grad_ce = np.zeros_like(ce_logits)
     grad_va = np.zeros_like(va_pred)
 
-    if au_idx:
-        target = np.array([labels[i].au for i in au_idx])
-        losses, grad = _multilabel_ce_rows(au_logits[au_idx], target)
-        bd.l_au = float(losses.sum()) / len(au_idx)
-        bd.n_au = len(au_idx)
-        grad_au[au_idx] = grad / len(au_idx)
+    if au_idx.size:
+        losses, grad = _multilabel_ce_rows(au_logits[au_idx], labels.au[au_idx])
+        bd.n_au = au_idx.size
+        bd.l_au = float(losses.sum()) / bd.n_au
+        grad_au[au_idx] = grad / bd.n_au
 
-    if ce_idx:
-        target = np.array([int(labels[i].ce) for i in ce_idx])
-        losses, grad = _softmax_ce_rows(ce_logits[ce_idx], target)
-        bd.l_ce = float(losses.sum()) / len(ce_idx)
-        bd.n_ce = len(ce_idx)
-        grad_ce[ce_idx] = grad / len(ce_idx)
+    if ce_idx.size:
+        losses, grad = _softmax_ce_rows(ce_logits[ce_idx], labels.ce[ce_idx])
+        bd.n_ce = ce_idx.size
+        bd.l_ce = float(losses.sum()) / bd.n_ce
+        grad_ce[ce_idx] = grad / bd.n_ce
 
-    if len(va_idx) >= 2:
-        truth = np.stack([labels[i].va for i in va_idx])
-        loss_va, g_va = va_loss(va_pred[va_idx], truth)
-        bd.l_va = loss_va
-        bd.n_va = len(va_idx)
-        grad_va[va_idx] = g_va
+    if va_idx.size >= 2:
+        bd.l_va, grad_va[va_idx] = va_loss(va_pred[va_idx], labels.va[va_idx])
+        bd.n_va = va_idx.size
 
     bd.total = bd.l_au + bd.l_ce + bd.l_va
     return bd, (grad_au, grad_ce, grad_va)

@@ -134,59 +134,45 @@ class MetricReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_text(self):
-        """One metric per line, 'key = value'."""
+        """One metric per line, 'key = value', in the order of to_dict."""
         lines = []
-        if self.au_score is not None:
-            for j, f1 in enumerate(self.au_f1):
-                lines.append(f"au.f1[{j}] = {f1:.6f}")
-            lines.append(f"au.f1_macro = {self.au_f1_macro:.6f}")
-            lines.append(f"au.tacc = {self.au_tacc:.6f}")
-            lines.append(f"au.score = {self.au_score:.6f}")
-            lines.append(f"au.n = {self.n_au}")
-        if self.ce_score is not None:
-            lines.append(f"ce.f1_macro = {self.ce_f1_macro:.6f}")
-            lines.append(f"ce.acc = {self.ce_acc:.6f}")
-            lines.append(f"ce.score = {self.ce_score:.6f}")
-            lines.append(f"ce.n = {self.n_ce}")
-        if self.va_score is not None:
-            lines.append(f"va.ccc_v = {self.ccc_v:.6f}")
-            lines.append(f"va.ccc_a = {self.ccc_a:.6f}")
-            lines.append(f"va.score = {self.va_score:.6f}")
-            lines.append(f"va.n = {self.n_va}")
+        for track, block in self.to_dict().items():
+            for key, value in block.items():
+                if key == "f1_per_unit":
+                    lines += [f"{track}.f1[{j}] = {f1:.6f}" for j, f1 in enumerate(value)]
+                elif key == "n":
+                    lines.append(f"{track}.n = {value}")
+                else:
+                    lines.append(f"{track}.{key} = {value:.6f}")
         return "\n".join(lines) + "\n"
 
 
 def evaluate(au_pred, ce_pred, va_pred, labels, weights=None):
     """Score predictions against partially labeled truth.
 
-    au_pred (N, 12) bits, ce_pred (N,) classes, va_pred (N, 2); labels is a
-    list of N LabelSet. Each track is evaluated on its labeled subset and
-    reported absent when that subset is empty (VA additionally needs >= 2
-    samples for the CCC).
+    au_pred (N, 12) bits, ce_pred (N,) classes, va_pred (N, 2); labels is
+    the LabelColumns of the N samples. Each track is evaluated on its
+    labeled subset and reported absent when that subset is empty (VA
+    additionally needs >= 2 samples for the CCC).
     """
     report = MetricReport()
-    au_idx = [i for i, lab in enumerate(labels) if lab.au is not None]
-    if au_idx:
-        truth = np.stack([labels[i].au for i in au_idx])
-        f1_macro, tacc, per_unit = au_metrics(np.asarray(au_pred)[au_idx], truth)
-        report.au_f1 = per_unit
-        report.au_f1_macro = f1_macro
-        report.au_tacc = tacc
-        report.n_au = len(au_idx)
-    ce_idx = [i for i, lab in enumerate(labels) if lab.ce is not None]
-    if ce_idx:
-        truth = np.array([labels[i].ce for i in ce_idx])
-        f1_macro, acc = ce_metrics(np.asarray(ce_pred)[ce_idx], truth)
-        report.ce_f1_macro = f1_macro
-        report.ce_acc = acc
-        report.n_ce = len(ce_idx)
-    va_idx = [i for i, lab in enumerate(labels) if lab.va is not None]
-    if len(va_idx) >= 2:
-        truth = np.stack([labels[i].va for i in va_idx])
+    au_idx = np.flatnonzero(labels.au_mask)
+    if au_idx.size:
+        report.au_f1_macro, report.au_tacc, report.au_f1 = au_metrics(
+            np.asarray(au_pred)[au_idx], labels.au[au_idx])
+        report.n_au = au_idx.size
+    ce_idx = np.flatnonzero(labels.ce_mask)
+    if ce_idx.size:
+        report.ce_f1_macro, report.ce_acc = ce_metrics(np.asarray(ce_pred)[ce_idx],
+                                                       labels.ce[ce_idx])
+        report.n_ce = ce_idx.size
+    va_idx = np.flatnonzero(labels.va_mask)
+    if va_idx.size >= 2:
+        truth = labels.va[va_idx]
         pred = np.asarray(va_pred)[va_idx]
         report.ccc_v = ccc(pred[:, 0], truth[:, 0])
         report.ccc_a = ccc(pred[:, 1], truth[:, 1])
-        report.n_va = len(va_idx)
+        report.n_va = va_idx.size
     report.au_score, report.ce_score, report.va_score = track_scores(
         au_f1=report.au_f1_macro, au_tacc=report.au_tacc,
         ce_f1=report.ce_f1_macro, ce_acc=report.ce_acc,

@@ -117,11 +117,6 @@ def layer_plan(config):
     return plan
 
 
-def build(config):
-    """Allocate a model with parameters seeded from config.seed."""
-    return Model(config)
-
-
 class Model:
     """Dense multi-task network over expression embeddings.
 
@@ -222,13 +217,13 @@ class Model:
 
         Every gradient buffer is assigned (not accumulated into), so the
         result does not depend on what the buffers held before the call.
-        batch: list of AffectRecord. Returns the LossBreakdown.
+        batch: a data.Batch, embedding rows (B, D) with their LabelColumns.
+        Returns the LossBreakdown.
         """
-        emb = np.stack([rec.embedding for rec in batch])
         cache = {}
-        pred = self._forward(emb, cache)
+        pred = self._forward(batch.emb, cache)
         breakdown, (g_au, g_ce, g_va) = total_loss(
-            pred.au_logits, pred.ce_logits, pred.va, [rec.labels for rec in batch])
+            pred.au_logits, pred.ce_logits, pred.va, batch.labels)
         self._backward(cache, g_au, g_ce, g_va)
         return breakdown
 

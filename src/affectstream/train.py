@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import AffectRecord, LabelSet, batch_iter, kfold_split
+from .data import Batch, LabelColumns, LabelSet, batch_iter, kfold_split
 from .engine import Optimizer
 from .losses import LossBreakdown
 from .metrics import evaluate
@@ -66,15 +65,18 @@ def _epoch_mean(breakdowns):
 def fit(model, records, settings, log_path=None):
     """Train for settings.epochs over seeded shuffled batches.
 
-    Returns the per-epoch mean LossBreakdowns. Batches where every record
-    is unlabeled are skipped. Raises NoLabeledDataError when the dataset
-    has no labels at all, or when an epoch ends without a single sample
-    contributing to any loss (only VA labels, never two in one batch), so
-    that only weight decay would have moved the weights.
+    records is a sequence of AffectRecords; their labels are turned into
+    LabelColumns once, and each step trains on a Batch of them (see
+    batch_iter). Returns the per-epoch mean LossBreakdowns. Batches where
+    every record is unlabeled are skipped. Raises NoLabeledDataError when
+    the dataset has no labels at all, or when an epoch ends without a
+    single sample contributing to any loss (only VA labels, never two in
+    one batch), so that only weight decay would have moved the weights.
     """
     settings.validate()
-    records = [r for r in records]
-    if not any(r.labels.any_present() for r in records):
+    records = list(records)
+    labels = LabelColumns.from_labels(r.labels for r in records)
+    if not labels.any_present():
         raise NoLabeledDataError("no record carries any label")
     optimizer = Optimizer(mode=settings.optimizer, lr=settings.lr,
                           weight_decay=settings.weight_decay)
@@ -83,13 +85,13 @@ def fit(model, records, settings, log_path=None):
     try:
         for epoch in range(1, settings.epochs + 1):
             batch_stats = []
-            for batch in batch_iter(records, settings.batch_size, settings.seed, epoch):
-                if not any(r.labels.any_present() for r in batch):
+            for batch in batch_iter(records, labels, settings.batch_size, settings.seed, epoch):
+                if not batch.labels.any_present():
                     continue
                 batch_stats.append(model.train_step(batch, optimizer))
             stats = _epoch_mean(batch_stats)
             if stats.n_au + stats.n_ce + stats.n_va == 0:
-                n_va = sum(r.labels.va is not None for r in records)
+                n_va = int(labels.va_mask.sum())
                 raise NoLabeledDataError(
                     f"epoch {epoch}: no sample contributed to any loss; the only labels "
                     f"are VA ({n_va} records), and the VA loss needs at least 2 "
@@ -110,7 +112,8 @@ def evaluate_model(model, records, weights=None):
     """Predict on records and score against their labels."""
     emb = np.stack([r.embedding for r in records])
     au, ce, va = model.predict(emb)
-    return evaluate(au, ce, va, [r.labels for r in records], weights=weights)
+    return evaluate(au, ce, va, LabelColumns.from_labels(r.labels for r in records),
+                    weights=weights)
 
 
 def holdout_split(records, fraction, seed):
@@ -139,45 +142,32 @@ GRADCHECK_DIMS = dict(embed_dim=20, au_feat_dim=10, ce_feat_dim=6, va_feat_dim=6
 
 
 def make_gradcheck_setup(variant="streaming", adapter=False, seed=0):
-    """Compact seeded model plus an 8-record batch with mixed label masks.
+    """Compact seeded model plus an 8-row Batch with mixed label masks.
 
-    Records cycle through fully-labeled / AU-only / CE-only / VA-only, so
+    Rows cycle through fully-labeled / AU-only / CE-only / VA-only, so
     every loss term and masked path is active during the check.
     """
     config = NetConfig(variant=variant, adapter=adapter, seed=seed, **GRADCHECK_DIMS)
     synth_cfg = SynthConfig(n=8, latent_dim=6, embed_dim=config.embed_dim,
                             lift_hidden=12, noise_std=0.0, seed=seed + 1)
     _, truth = synth_generate(synth_cfg)
-    batch = []
-    for i, rec in enumerate(truth):
-        pattern = i % 4
-        labels = LabelSet(
-            au=rec.labels.au if pattern in (0, 1) else None,
-            ce=rec.labels.ce if pattern in (0, 2) else None,
-            va=rec.labels.va if pattern in (0, 3) else None)
-        batch.append(AffectRecord(id=rec.id, embedding=rec.embedding, labels=labels))
+    labels = [LabelSet(au=rec.labels.au if i % 4 in (0, 1) else None,
+                       ce=rec.labels.ce if i % 4 in (0, 2) else None,
+                       va=rec.labels.va if i % 4 in (0, 3) else None)
+              for i, rec in enumerate(truth)]
+    batch = Batch(np.stack([rec.embedding for rec in truth]), LabelColumns.from_labels(labels))
     return Model(config), batch
 
 
-def run_kfold(records, k, seed, net_config, settings, weights=None, workers=1):
+def run_kfold(records, k, seed, net_config, settings, weights=None):
     """k-fold cross validation; returns (per-fold reports, aggregate dict).
 
-    Each fold trains an independent model with a fold-derived seed, so the
-    result is identical whether folds run sequentially or in parallel. The
+    Each fold trains an independent model with a fold-derived seed. The
     aggregate is the arithmetic mean of the fold scores.
     """
-    splits = kfold_split(records, k, seed)
-    jobs = []
-    for i, pair in enumerate(splits):
-        cfg = replace(net_config, seed=net_config.seed + i)
-        st = replace(settings, seed=settings.seed + i)
-        jobs.append((pair, cfg, st))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(
-                lambda job: run_fold(job[0], job[1], job[2], weights=weights), jobs))
-    else:
-        reports = [run_fold(pair, cfg, st, weights=weights) for pair, cfg, st in jobs]
+    reports = [run_fold(pair, replace(net_config, seed=net_config.seed + i),
+                        replace(settings, seed=settings.seed + i), weights=weights)
+               for i, pair in enumerate(kfold_split(records, k, seed))]
     aggregate = {}
     for key in ("au_score", "ce_score", "va_score"):
         vals = [getattr(r, key) for r in reports if getattr(r, key) is not None]

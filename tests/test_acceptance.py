@@ -7,11 +7,12 @@ the determinism check so the suite stays inside the stated time budgets.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from affectstream.data import kfold_split, load_dataset, save_dataset
+from affectstream.data import Batch, kfold_split, load_dataset, save_dataset
 from affectstream.engine import finite_diff_check
 from affectstream.losses import ccc, multilabel_ce, softmax_ce, va_loss
 from affectstream.metrics import track_scores
@@ -123,16 +124,12 @@ def test_criterion_3_gradient_checks(capsys):
 
 def _masked_batch(drop):
     model, batch = make_gradcheck_setup()
-    masked = []
-    for rec in batch:
-        labels = rec.labels
-        masked.append(type(rec)(
-            id=rec.id, embedding=rec.embedding,
-            labels=type(labels)(
-                au=None if "au" in drop else labels.au if labels.au is not None else None,
-                ce=None if "ce" in drop else labels.ce,
-                va=None if "va" in drop else labels.va)))
-    return masked
+    labels = batch.labels
+    return Batch(batch.emb, replace(
+        labels,
+        au_mask=labels.au_mask & ("au" not in drop),
+        ce=np.where("ce" in drop, -1, labels.ce),
+        va_mask=labels.va_mask & ("va" not in drop)))
 
 
 def test_criterion_4_masking_exactness(capsys):

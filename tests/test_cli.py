@@ -12,8 +12,9 @@ import pytest
 
 import affectstream
 from affectstream.data import load_dataset
+from affectstream.metrics import ScoreWeights
 from affectstream.model import Model, NetConfig, load_checkpoint, save_checkpoint
-from affectstream.train import evaluate_model
+from affectstream.train import TrainSettings, evaluate_model, fit
 
 SYNTH_SMALL = ["--n", "50", "--latent-dim", "8", "--embed-dim", "32", "--seed", "3"]
 
@@ -167,6 +168,12 @@ BAD_INPUT_CASES = [
     ("noise-std-nan-config", ["synth", "--config", "nan.cfg"] + VERB_ARGS["synth"], "noise_std"),
     ("latent-dim-1", ["synth", "--latent-dim", "1"] + VERB_ARGS["synth"], "latent_dim"),
     ("lr-nan-flag", ["train", "--lr", "nan"] + VERB_ARGS["train"], "lr"),
+    ("variant-config", ["train", "--config", "variant.cfg"] + VERB_ARGS["train"], "variant"),
+    ("optimizer-config", ["kfold", "--config", "optimizer.cfg"] + VERB_ARGS["kfold"],
+     "optimizer"),
+    ("adapter-config", ["gradcheck", "--config", "adapter.cfg"], "adapter"),
+    ("eps-zero-flag", ["gradcheck", "--eps", "0"], "eps"),
+    ("eps-zero-config", ["gradcheck", "--config", "eps.cfg"], "eps"),
 ] + [(f"seed-flag-{verb}", [verb, "--seed", "-1"] + args, "seed")
      for verb, args in VERB_ARGS.items()] + [
     (f"seed-config-{verb}", [verb, "--config", "seed.cfg"] + args, "seed")
@@ -184,6 +191,10 @@ def test_bad_input_exit_2(tmp_path, argv, named):
     (tmp_path / "noise.cfg").write_text("noise_std = -1\n")
     (tmp_path / "nan.cfg").write_text("noise_std = nan\n")
     (tmp_path / "seed.cfg").write_text("seed = -1\n")
+    (tmp_path / "variant.cfg").write_text("variant = foo\n")
+    (tmp_path / "optimizer.cfg").write_text("optimizer = foo\n")
+    (tmp_path / "adapter.cfg").write_text("adapter = maybe\n")
+    (tmp_path / "eps.cfg").write_text("eps = 0\n")
     proc = run_cli(argv, tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert named in proc.stderr
@@ -224,6 +235,26 @@ def test_eval_report_matches_library_computation(tmp_path):
     model = load_checkpoint(str(tmp_path / "ck.json"))
     records = load_dataset(str(tmp_path / "d.csv.truth"))
     assert doc == evaluate_model(model, records).to_dict()
+
+
+def test_defaults_are_the_dataclass_defaults(tmp_path):
+    """train and eval without option flags use NetConfig(), TrainSettings()
+    and ScoreWeights() as the library does."""
+    data = make_dataset(tmp_path)
+    proc = run_cli(["train", "--data", str(data), "--out", "ck.json"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    records = load_dataset(str(data))
+    model = Model(NetConfig(embed_dim=len(records[0].embedding)))
+    fit(model, records, TrainSettings())
+    save_checkpoint(model, str(tmp_path / "lib.json"))
+    assert (tmp_path / "ck.json").read_bytes() == (tmp_path / "lib.json").read_bytes()
+
+    proc = run_cli(["eval", "--data", "d.csv.truth", "--checkpoint", "ck.json",
+                    "--out", "rep.json"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    truth = load_dataset(str(tmp_path / "d.csv.truth"))
+    expected = evaluate_model(model, truth, weights=ScoreWeights())
+    assert (tmp_path / "rep.json").read_text() == expected.to_json()
 
 
 def test_eval_checkpoint_dim_mismatch_exit_4(tmp_path):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from affectstream.data import (AffectRecord, DatasetFormatError, LabelSet,
+from affectstream.data import (AffectRecord, DatasetFormatError, LabelColumns, LabelSet,
                                batch_iter, kfold_split, load_dataset,
                                save_dataset, with_ce)
 from affectstream.engine import make_rng
@@ -233,21 +236,98 @@ def test_kfold_rejects_bad_k():
 # -- batching ------------------------------------------------------------
 
 
+def columns(records):
+    return LabelColumns.from_labels(r.labels for r in records)
+
+
+def batch_ids(records, batch):
+    """The ids of the records whose embeddings are the batch's rows."""
+    by_row = {r.embedding.tobytes(): r.id for r in records}
+    return [by_row[row.tobytes()] for row in batch.emb]
+
+
 def test_batch_iter_partitions_epoch():
     records = make_records(13, dim=4, seed=4)
-    batches = list(batch_iter(records, 4, seed=5, epoch=0))
+    batches = list(batch_iter(records, columns(records), 4, seed=5, epoch=0))
     assert [len(b) for b in batches] == [4, 4, 4, 1]
-    seen = [r.id for batch in batches for r in batch]
+    seen = [rec_id for batch in batches for rec_id in batch_ids(records, batch)]
     assert sorted(seen) == sorted(r.id for r in records)
 
 
 def test_batch_iter_epoch_changes_order():
     records = make_records(32, dim=4, seed=5)
-    ids = lambda e: [r.id for b in batch_iter(records, 8, seed=9, epoch=e) for r in b]
+    ids = lambda e: [rec_id for b in batch_iter(records, columns(records), 8, seed=9, epoch=e)
+                     for rec_id in batch_ids(records, b)]
     assert ids(0) == ids(0)
     assert ids(0) != ids(1)
 
 
 def test_batch_iter_rejects_bad_batch_size():
+    records = make_records(3, dim=4)
     with pytest.raises(ValueError):
-        list(batch_iter(make_records(3, dim=4), 0, seed=0, epoch=0))
+        list(batch_iter(records, columns(records), 0, seed=0, epoch=0))
+
+
+def test_batch_iter_keeps_rows_and_labels_together():
+    records = make_records(11, dim=4, seed=6)
+    by_id = {r.id: r for r in records}
+    for batch in batch_iter(records, columns(records), 3, seed=2, epoch=1):
+        assert batch.emb.shape == (len(batch), 4)
+        expected = columns([by_id[rec_id] for rec_id in batch_ids(records, batch)])
+        for name in ("au", "au_mask", "ce", "va", "va_mask"):
+            assert np.array_equal(getattr(batch.labels, name), getattr(expected, name)), name
+
+
+def test_batch_iter_rejects_columns_of_other_records():
+    records = make_records(4, dim=4)
+    with pytest.raises(ValueError):
+        list(batch_iter(records, columns(records[:3]), 2, seed=0, epoch=0))
+
+
+# -- label columns -------------------------------------------------------
+
+
+@st.composite
+def label_sets(draw):
+    n = draw(st.integers(0, 12))
+    out = []
+    for _ in range(n):
+        au = draw(st.none() | hnp.arrays(draw(st.sampled_from([int, bool, float])), 12,
+                                         elements=st.integers(0, 1)))
+        ce = draw(st.none() | st.integers(0, 6))
+        va = draw(st.none() | hnp.arrays(float, 2, elements=st.floats(-1.0, 1.0)))
+        out.append(LabelSet(au=au, ce=ce, va=va))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_sets())
+def test_label_columns_hold_each_label_and_its_presence(labels):
+    cols = LabelColumns.from_labels(labels)
+    assert len(cols) == len(labels)
+    assert cols.au.shape == (len(labels), 12) and cols.va.shape == (len(labels), 2)
+    assert cols.au_mask.tolist() == [lab.au is not None for lab in labels]
+    assert cols.ce_mask.tolist() == [lab.ce is not None for lab in labels]
+    assert cols.va_mask.tolist() == [lab.va is not None for lab in labels]
+    assert cols.any_present() == any(lab.any_present() for lab in labels)
+    for i, lab in enumerate(labels):
+        if lab.au is not None:
+            assert np.array_equal(cols.au[i], lab.au)
+        assert cols.ce[i] == (-1 if lab.ce is None else lab.ce)
+        if lab.va is not None:
+            assert np.array_equal(cols.va[i], lab.va)
+    idx = np.arange(len(labels))[::-1]
+    rows = cols[idx]
+    assert rows.ce.tolist() == cols.ce[idx].tolist()
+    assert np.array_equal(rows.au_mask, cols.au_mask[idx])
+    assert np.array_equal(rows.va, cols.va[idx])
+
+
+@pytest.mark.parametrize("bad", [LabelSet(ce=-1), LabelSet(ce=7), LabelSet(au=np.full(12, 2)),
+                                 LabelSet(au=np.ones(11, dtype=int)),
+                                 LabelSet(au=np.full(12, 0.5)), LabelSet(va=np.zeros(3))],
+                         ids=["ce-minus-1", "ce-7", "au-bit-2", "au-11-bits", "au-half",
+                              "va-3-values"])
+def test_label_columns_reject_a_bad_label_instead_of_reading_it_as_missing(bad):
+    with pytest.raises(ValueError):
+        LabelColumns.from_labels([LabelSet(ce=1), bad])

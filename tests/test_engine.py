@@ -262,6 +262,21 @@ def test_finite_diff_check_constant_loss():
     assert result.max_rel_err == 0.0
 
 
+def test_finite_diff_check_names_a_nan_weight_gradient():
+    """A NaN relative error is the worst one, not one that never compares."""
+    store = make_store(seed=9)
+
+    def loss_fn():
+        w, _ = store.params("fc")
+        store.grads("fc")[0][...] = 2.0 * w
+        store.grads("fc")[0][1, 2] = np.nan
+        return float((w * w).sum())
+
+    result = finite_diff_check(loss_fn, store, eps=1e-5)
+    assert not result.max_rel_err < 1e-5
+    assert result.worst_param == "fc.weight[5]"
+
+
 def test_seeded_init_is_bit_identical():
     a = make_store(seed=42).params("fc")
     b = make_store(seed=42).params("fc")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from affectstream.data import LabelSet
+from affectstream.data import LabelColumns, LabelSet
 from affectstream.engine import make_rng
 from affectstream.losses import (ccc, multilabel_ce, softmax_ce, total_loss, va_loss)
 
@@ -245,7 +246,7 @@ def test_total_loss_no_va_labels_gives_zero_va():
     rng = make_rng(7)
     au_l, ce_l, va_p = random_batch_outputs(rng, 4)
     labels = [make_labels(au=rng.integers(0, 2, 12)) for _ in range(4)]
-    bd, (g_au, g_ce, g_va) = total_loss(au_l, ce_l, va_p, labels)
+    bd, (g_au, g_ce, g_va) = total_loss(au_l, ce_l, va_p, LabelColumns.from_labels(labels))
     assert bd.l_va == 0.0 and bd.n_va == 0
     assert np.array_equal(g_va, np.zeros((4, 2)))
     assert np.array_equal(g_ce, np.zeros((4, 7)))
@@ -257,7 +258,7 @@ def test_total_loss_single_va_sample_skipped():
     au_l, ce_l, va_p = random_batch_outputs(rng, 1)
     labels = [make_labels(au=rng.integers(0, 2, 12), ce=3,
                           va=np.array([0.1, -0.2]))]
-    bd, (_, _, g_va) = total_loss(au_l, ce_l, va_p, labels)
+    bd, (_, _, g_va) = total_loss(au_l, ce_l, va_p, LabelColumns.from_labels(labels))
     assert bd.n_va == 0 and bd.l_va == 0.0
     assert np.array_equal(g_va, np.zeros((1, 2)))
     assert bd.total == pytest.approx(bd.l_au + bd.l_ce)
@@ -275,7 +276,7 @@ def test_total_loss_mixed_batch_decomposes():
             labels.append(make_labels(ce=int(rng.integers(0, 7))))
         else:
             labels.append(make_labels(va=rng.uniform(-1, 1, 2)))
-    bd, _ = total_loss(au_l, ce_l, va_p, labels)
+    bd, _ = total_loss(au_l, ce_l, va_p, LabelColumns.from_labels(labels))
     assert (bd.n_au, bd.n_ce, bd.n_va) == (4, 4, 4)
 
     # each track computed independently on its own subset
@@ -293,7 +294,7 @@ def test_total_loss_unlabeled_rows_get_zero_gradient():
     au_l, ce_l, va_p = random_batch_outputs(rng, 6)
     labels = [make_labels(au=rng.integers(0, 2, 12)) if i % 2 == 0 else
               make_labels(va=rng.uniform(-1, 1, 2)) for i in range(6)]
-    _, (g_au, g_ce, g_va) = total_loss(au_l, ce_l, va_p, labels)
+    _, (g_au, g_ce, g_va) = total_loss(au_l, ce_l, va_p, LabelColumns.from_labels(labels))
     for i in range(6):
         if i % 2 == 0:
             assert np.any(g_au[i] != 0)
@@ -308,7 +309,7 @@ def test_total_loss_rejects_fully_unlabeled_batch():
     au_l, ce_l, va_p = random_batch_outputs(rng, 3)
     labels = [make_labels() for _ in range(3)]
     with pytest.raises(ValueError):
-        total_loss(au_l, ce_l, va_p, labels)
+        total_loss(au_l, ce_l, va_p, LabelColumns.from_labels(labels))
 
 
 def test_total_loss_gradients_match_finite_differences():
@@ -321,10 +322,10 @@ def test_total_loss_gradients_match_finite_differences():
             au=rng.integers(0, 2, 12) if i % 2 == 0 else None,
             ce=int(rng.integers(0, 7)) if i % 3 == 0 else None,
             va=rng.uniform(-1, 1, 2) if i % 2 == 1 else None))
-    _, (g_au, g_ce, g_va) = total_loss(au_l, ce_l, va_p, labels)
+    _, (g_au, g_ce, g_va) = total_loss(au_l, ce_l, va_p, LabelColumns.from_labels(labels))
 
     def loss_of(au, ce, va):
-        return total_loss(au, ce, va, labels)[0].total
+        return total_loss(au, ce, va, LabelColumns.from_labels(labels))[0].total
 
     num_au = numeric_grad(lambda a: loss_of(a, ce_l, va_p), au_l.copy())
     num_ce = numeric_grad(lambda c: loss_of(au_l, c, va_p), ce_l.copy())
@@ -332,6 +333,14 @@ def test_total_loss_gradients_match_finite_differences():
     assert np.allclose(g_au, num_au, atol=1e-8)
     assert np.allclose(g_ce, num_ce, atol=1e-8)
     assert np.allclose(g_va, num_va, atol=1e-7)
+
+
+def test_total_loss_reads_only_minus_one_as_a_missing_class():
+    rng = make_rng(14)
+    au_l, ce_l, va_p = random_batch_outputs(rng, 2)
+    cols = LabelColumns.from_labels([make_labels(ce=0), make_labels(ce=1)])
+    with pytest.raises(ValueError):
+        total_loss(au_l, ce_l, va_p, replace(cols, ce=np.array([-2, 1])))
 
 
 # -- batch-vectorised total loss against the per-sample oracles ----------
@@ -388,7 +397,7 @@ def oracle_total_loss(au_l, ce_l, va_p, labels):
 @given(labelled_outputs())
 def test_total_loss_matches_per_sample_oracles(batch):
     au_l, ce_l, va_p, labels = batch
-    bd, grads = total_loss(au_l, ce_l, va_p, labels)
+    bd, grads = total_loss(au_l, ce_l, va_p, LabelColumns.from_labels(labels))
     ref, ref_grads = oracle_total_loss(au_l, ce_l, va_p, labels)
     assert bd.l_au == pytest.approx(ref["au"], rel=1e-12, abs=1e-12)
     assert bd.l_ce == pytest.approx(ref["ce"], rel=1e-12, abs=1e-12)
@@ -402,8 +411,11 @@ def test_total_loss_keeps_oracle_validation():
     rng = make_rng(13)
     au_l, ce_l, va_p = random_batch_outputs(rng, 2)
     with pytest.raises(ValueError):
-        total_loss(au_l, ce_l, va_p, [make_labels(au=np.full(12, 2)), make_labels(ce=1)])
+        total_loss(au_l, ce_l, va_p, LabelColumns.from_labels(
+            [make_labels(au=np.full(12, 2)), make_labels(ce=1)]))
     with pytest.raises(ValueError):
-        total_loss(au_l, ce_l, va_p, [make_labels(ce=7), make_labels(ce=1)])
+        total_loss(au_l, ce_l, va_p, LabelColumns.from_labels(
+            [make_labels(ce=7), make_labels(ce=1)]))
     with pytest.raises(ValueError):
-        total_loss(au_l[:1], ce_l, va_p, [make_labels(ce=0), make_labels(ce=1)])
+        total_loss(au_l[:1], ce_l, va_p, LabelColumns.from_labels(
+            [make_labels(ce=0), make_labels(ce=1)]))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from affectstream.data import LabelSet
+from affectstream.data import LabelColumns, LabelSet
 from affectstream.engine import make_rng
 from affectstream.metrics import (MetricReport, ScoreWeights, au_metrics,
                                   binary_f1, ce_metrics, evaluate, track_scores)
@@ -200,7 +200,7 @@ def test_evaluate_per_track_subsets():
             au=au_pred[i] if i < 4 else None,        # AU truth = pred on 0..3
             ce=int(ce_pred[i]) if 4 <= i < 7 else None,
             va=va_pred[i] if i >= 7 else None))
-    report = evaluate(au_pred, ce_pred, va_pred, labels)
+    report = evaluate(au_pred, ce_pred, va_pred, LabelColumns.from_labels(labels))
     assert (report.n_au, report.n_ce, report.n_va) == (4, 3, 3)
     assert report.au_score == 1.0 and report.ce_acc == 1.0
     assert report.va_score == pytest.approx(1.0, abs=1e-12)
@@ -212,7 +212,7 @@ def test_evaluate_absent_tracks_are_none():
     ce_pred = rng.integers(0, 7, 5)
     va_pred = rng.uniform(-1, 1, (5, 2))
     labels = [LabelSet(ce=int(rng.integers(0, 7))) for _ in range(5)]
-    report = evaluate(au_pred, ce_pred, va_pred, labels)
+    report = evaluate(au_pred, ce_pred, va_pred, LabelColumns.from_labels(labels))
     assert report.au_score is None and report.va_score is None
     assert report.ce_score is not None and report.n_ce == 5
 
@@ -221,7 +221,7 @@ def test_evaluate_single_va_label_not_scored():
     rng = make_rng(47)
     labels = [LabelSet(va=np.array([0.1, 0.2])), LabelSet(au=rng.integers(0, 2, 12))]
     report = evaluate(rng.integers(0, 2, (2, 12)), rng.integers(0, 7, 2),
-                      rng.uniform(-1, 1, (2, 2)), labels)
+                      rng.uniform(-1, 1, (2, 2)), LabelColumns.from_labels(labels))
     assert report.va_score is None and report.n_va == 0
 
 
@@ -231,7 +231,8 @@ def test_report_serialization_round_trip():
     au_pred = rng.integers(0, 2, (n, 12))
     labels = [LabelSet(au=rng.integers(0, 2, 12), va=rng.uniform(-1, 1, 2))
               for _ in range(n)]
-    report = evaluate(au_pred, rng.integers(0, 7, n), rng.uniform(-1, 1, (n, 2)), labels)
+    report = evaluate(au_pred, rng.integers(0, 7, n), rng.uniform(-1, 1, (n, 2)),
+                      LabelColumns.from_labels(labels))
     doc = json.loads(report.to_json())
     assert set(doc) == {"au", "va"}
     assert doc["au"]["score"] == pytest.approx(report.au_score)
@@ -247,6 +248,6 @@ def test_report_json_is_deterministic():
     rng = make_rng(49)
     labels = [LabelSet(au=rng.integers(0, 2, 12)) for _ in range(4)]
     preds = (rng.integers(0, 2, (4, 12)), rng.integers(0, 7, 4), rng.uniform(-1, 1, (4, 2)))
-    a = evaluate(*preds, labels).to_json()
-    b = evaluate(*preds, labels).to_json()
+    a = evaluate(*preds, LabelColumns.from_labels(labels)).to_json()
+    b = evaluate(*preds, LabelColumns.from_labels(labels)).to_json()
     assert a == b

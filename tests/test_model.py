@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from affectstream.data import AffectRecord, LabelSet
+from affectstream.data import AffectRecord, Batch, LabelColumns, LabelSet
 from affectstream.engine import Optimizer, finite_diff_check, make_rng
-from affectstream.model import (CheckpointError, Model, NetConfig, build,
-                                layer_plan, load_checkpoint, save_checkpoint)
+from affectstream.model import (CheckpointError, Model, NetConfig, layer_plan,
+                                load_checkpoint, save_checkpoint)
 from affectstream.train import make_gradcheck_setup
 
 SMALL = dict(embed_dim=24, au_feat_dim=10, ce_feat_dim=6, va_feat_dim=6,
@@ -26,26 +26,26 @@ def plan_param_count(config):
 
 
 def test_default_streaming_param_count():
-    model = build(NetConfig())
+    model = Model(NetConfig())
     assert model.store.param_count() == 527061
     assert plan_param_count(NetConfig()) == 527061
 
 
 def test_default_parallel_param_count():
-    model = build(NetConfig(variant="parallel"))
+    model = Model(NetConfig(variant="parallel"))
     assert model.store.param_count() == 498261
     assert plan_param_count(NetConfig(variant="parallel")) == 498261
 
 
 def test_parallel_is_smaller():
-    s = build(small_config()).store.param_count()
-    p = build(small_config(variant="parallel")).store.param_count()
+    s = Model(small_config()).store.param_count()
+    p = Model(small_config(variant="parallel")).store.param_count()
     assert p < s
 
 
 def test_adapter_adds_square_layer():
-    base = build(small_config()).store.param_count()
-    with_a = build(small_config(adapter=True)).store.param_count()
+    base = Model(small_config()).store.param_count()
+    with_a = Model(small_config(adapter=True)).store.param_count()
     e = SMALL["embed_dim"]
     assert with_a - base == e * e + e
 
@@ -74,7 +74,7 @@ def test_negative_seed_is_named_by_the_config():
 
 
 def test_forward_shapes_and_va_bound():
-    model = build(small_config(seed=1))
+    model = Model(small_config(seed=1))
     x = make_rng(2).normal(0, 1, (5, SMALL["embed_dim"]))
     pred = model.forward(x)
     assert pred.au_logits.shape == (5, 12)
@@ -84,13 +84,13 @@ def test_forward_shapes_and_va_bound():
 
 
 def test_forward_rejects_wrong_width():
-    model = build(small_config())
+    model = Model(small_config())
     with pytest.raises(ValueError):
         model.forward(np.zeros((3, SMALL["embed_dim"] + 1)))
 
 
 def test_zero_params_give_zero_outputs():
-    model = build(small_config(seed=3))
+    model = Model(small_config(seed=3))
     for name in model.store.names():
         w, b = model.store.params(name)
         model.store.set_params(name, np.zeros_like(w), np.zeros_like(b))
@@ -112,7 +112,7 @@ def replay_mlp(store, prefix, x):
 
 def test_streaming_forward_matches_manual_replay():
     cfg = small_config(seed=5)
-    model = build(cfg)
+    model = Model(cfg)
     x = make_rng(6).normal(0, 1, (4, cfg.embed_dim))
     pred = model.forward(x)
 
@@ -135,7 +135,7 @@ def test_streaming_forward_matches_manual_replay():
 
 def test_parallel_forward_matches_manual_replay():
     cfg = small_config(seed=7, variant="parallel")
-    model = build(cfg)
+    model = Model(cfg)
     x = make_rng(8).normal(0, 1, (4, cfg.embed_dim))
     pred = model.forward(x)
     st = model.store
@@ -146,10 +146,10 @@ def test_parallel_forward_matches_manual_replay():
 
 def test_adapter_feeds_all_extractors():
     cfg = small_config(seed=9, adapter=True)
-    model = build(cfg)
+    model = Model(cfg)
     x = make_rng(10).normal(0, 1, (3, cfg.embed_dim))
     w, b = model.store.params("adapter")
-    plain = build(cfg)  # same seed: adapter params identical
+    plain = Model(cfg)  # same seed: adapter params identical
     # replaying through the adapter by hand must reproduce the full forward
     st = model.store
     xa = x @ w + b
@@ -159,7 +159,7 @@ def test_adapter_feeds_all_extractors():
 
 
 def test_forward_batch_row_independence():
-    model = build(small_config(seed=11))
+    model = Model(small_config(seed=11))
     x = make_rng(12).normal(0, 1, (6, SMALL["embed_dim"]))
     whole = model.forward(x)
     for i in range(6):
@@ -172,9 +172,9 @@ def test_forward_batch_row_independence():
 
 
 def test_seeded_build_is_reproducible():
-    a = build(small_config(seed=13))
-    b = build(small_config(seed=13))
-    c = build(small_config(seed=14))
+    a = Model(small_config(seed=13))
+    b = Model(small_config(seed=13))
+    c = Model(small_config(seed=14))
     for name in a.store.names():
         wa, ba = a.store.params(name)
         wb, bb = b.store.params(name)
@@ -185,7 +185,7 @@ def test_seeded_build_is_reproducible():
 
 
 def test_biases_start_at_zero():
-    model = build(small_config(seed=15))
+    model = Model(small_config(seed=15))
     for name in model.store.names():
         _, b = model.store.params(name)
         assert np.array_equal(b, np.zeros_like(b))
@@ -195,7 +195,7 @@ def test_biases_start_at_zero():
 
 
 def test_predict_decodes_thresholds_and_argmax():
-    model = build(small_config(seed=16))
+    model = Model(small_config(seed=16))
     x = make_rng(17).normal(0, 1, (10, SMALL["embed_dim"]))
     pred = model.forward(x)
     au, ce, va = model.predict(x)
@@ -206,7 +206,7 @@ def test_predict_decodes_thresholds_and_argmax():
 
 
 def test_predict_respects_custom_thresholds():
-    model = build(small_config(seed=18))
+    model = Model(small_config(seed=18))
     x = make_rng(19).normal(0, 1, (8, SMALL["embed_dim"]))
     logits = model.forward(x).au_logits
     model.au_thresholds = np.full(12, 1e9)
@@ -235,7 +235,8 @@ def make_batch(cfg, rng, n, pattern="full"):
         else:
             raise ValueError(pattern)
         out.append(AffectRecord(id=f"r{i}", embedding=emb, labels=labels))
-    return out
+    return Batch(np.stack([r.embedding for r in out]),
+                 LabelColumns.from_labels(r.labels for r in out))
 
 
 def grad_norm(model, name):
@@ -245,7 +246,7 @@ def grad_norm(model, name):
 
 def test_va_only_batch_reaches_au_extractor_in_streaming():
     cfg = small_config(seed=20)
-    model = build(cfg)
+    model = Model(cfg)
     batch = make_batch(cfg, make_rng(21), 4, pattern="va_only")
     model.loss_and_grads(batch)
     assert grad_norm(model, "extractor_au.fc1") > 0
@@ -255,7 +256,7 @@ def test_va_only_batch_reaches_au_extractor_in_streaming():
 
 def test_va_only_batch_isolated_in_parallel():
     cfg = small_config(seed=22, variant="parallel")
-    model = build(cfg)
+    model = Model(cfg)
     batch = make_batch(cfg, make_rng(23), 4, pattern="va_only")
     model.loss_and_grads(batch)
     assert grad_norm(model, "extractor_au.fc1") == 0.0
@@ -266,7 +267,7 @@ def test_va_only_batch_isolated_in_parallel():
 def test_au_only_batch_never_reaches_downstream_heads():
     for variant in ("streaming", "parallel"):
         cfg = small_config(seed=24, variant=variant)
-        model = build(cfg)
+        model = Model(cfg)
         batch = make_batch(cfg, make_rng(25), 4, pattern="au_only")
         model.loss_and_grads(batch)
         assert grad_norm(model, "extractor_au.fc1") > 0
@@ -279,7 +280,7 @@ def test_loss_and_grads_assigns_rather_than_accumulates():
     """A second call on the same batch leaves the same gradient buffers."""
     for variant, adapter in (("streaming", True), ("parallel", False)):
         cfg = small_config(seed=28, variant=variant, adapter=adapter)
-        model = build(cfg)
+        model = Model(cfg)
         batch = make_batch(cfg, make_rng(29), 6)
         model.loss_and_grads(batch)
         first = {name: [g.copy() for g in model.store.grads(name)]
@@ -308,7 +309,7 @@ def test_full_graph_gradient_check_with_adapter():
 
 def test_train_step_changes_params_and_lowers_loss():
     cfg = small_config(seed=26)
-    model = build(cfg)
+    model = Model(cfg)
     batch = make_batch(cfg, make_rng(27), 8)
     opt = Optimizer(mode="adam", lr=5e-3)
     first = model.train_step(batch, opt).total
@@ -319,7 +320,7 @@ def test_train_step_changes_params_and_lowers_loss():
 
 def test_train_step_skips_a_batch_without_contributing_samples():
     cfg = small_config(seed=30)
-    model = build(cfg)
+    model = Model(cfg)
     opt = Optimizer(mode="adam", lr=5e-3, weight_decay=1e-2)
     model.train_step(make_batch(cfg, make_rng(31), 8), opt)
     before = {name: [p.copy() for p in model.store.params(name)] for name in model.store.names()}
@@ -340,7 +341,7 @@ def test_train_step_skips_a_batch_without_contributing_samples():
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     cfg = small_config(seed=28)
-    model = build(cfg)
+    model = Model(cfg)
     batch = make_batch(cfg, make_rng(29), 6)
     opt = Optimizer(lr=1e-3)
     for _ in range(3):
@@ -362,8 +363,8 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):
-    m1 = build(small_config(seed=32))
-    m2 = build(small_config(seed=32))
+    m1 = Model(small_config(seed=32))
+    m2 = Model(small_config(seed=32))
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_checkpoint(m1, p1)
     save_checkpoint(m2, p2)
@@ -382,7 +383,7 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
 def test_checkpoint_rejects_tampered_layers(tmp_path):
     import json
-    model = build(small_config(seed=33))
+    model = Model(small_config(seed=33))
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
     doc = json.loads(path.read_text())

@@ -141,16 +141,6 @@ def test_run_kfold_aggregate_is_fold_mean():
         assert aggregate[key] == pytest.approx(np.mean(vals), abs=1e-12)
 
 
-def test_run_kfold_workers_do_not_change_results():
-    records = small_records(n=30)
-    cfg = NetConfig(seed=0, **SMALL_NET)
-    serial, agg1 = run_kfold(records, 3, 0, cfg, quick_settings(epochs=1))
-    threaded, agg2 = run_kfold(records, 3, 0, cfg, quick_settings(epochs=1), workers=3)
-    assert agg1 == agg2
-    for a, b in zip(serial, threaded):
-        assert a.to_dict() == b.to_dict()
-
-
 def test_evaluate_model_reports_all_tracks():
     records = small_records(n=16)
     model = Model(NetConfig(seed=0, **SMALL_NET))
