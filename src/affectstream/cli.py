@@ -76,7 +76,7 @@ FIELD_TYPES = {
                       embed_dim=positive_int),
     NetConfig: dict(variant=choice({v: v for v in VARIANTS}),
                     adapter=choice({"on": True, "off": False})),
-    TrainSettings: dict(epochs=positive_int, batch_size=positive_int, lr=finite_float,
+    TrainSettings: dict(epochs=positive_int, batch_size=positive_int, lr=positive_float,
                         weight_decay=nonneg_float,
                         optimizer=choice({m: m for m in OPTIMIZERS})),
     ScoreWeights: {f.name: finite_float for f in fields(ScoreWeights)},
@@ -149,9 +149,8 @@ def cmd_synth(args):
     records, truth = synth_generate(config)
     truth_out = args.truth_out or (args.out + ".truth")
     save_datasets([(args.out, records), (truth_out, truth)], config.embed_dim)
-    n_au = sum(r.labels.au is not None for r in records)
-    n_ce = sum(r.labels.ce is not None for r in records)
-    n_va = sum(r.labels.va is not None for r in records)
+    labels = LabelColumns.from_labels(r.labels for r in records)
+    n_au, n_ce, n_va = (int(m.sum()) for m in (labels.au_mask, labels.ce_mask, labels.va_mask))
     print(f"wrote {len(records)} records to {args.out} "
           f"(au: {n_au}, ce: {n_ce}, va: {n_va}); truth to {truth_out}")
     return EXIT_OK

@@ -59,18 +59,6 @@ class LabelSet:
     def any_present(self):
         return self.au is not None or self.ce is not None or self.va is not None
 
-    def validate(self):
-        if self.au is not None:
-            au = np.asarray(self.au)
-            if au.shape != (N_AU,) or not ((au == 0) | (au == 1)).all():
-                raise ValueError(f"au labels must be {N_AU} bits, got {self.au!r}")
-        if self.ce is not None and not 0 <= int(self.ce) < N_CE:
-            raise ValueError(f"ce class out of range 0..{N_CE - 1}: {self.ce!r}")
-        if self.va is not None:
-            va = np.asarray(self.va, dtype=float)
-            if va.shape != (2,) or not np.isfinite(va).all() or np.abs(va).max() > 1.0:
-                raise ValueError(f"va must be two finite values in [-1, 1], got {self.va!r}")
-
 
 @dataclass(frozen=True)
 class LabelColumns:
@@ -93,8 +81,9 @@ class LabelColumns:
     def from_labels(cls, labels):
         """Columns of a sequence of LabelSets; missing rows hold zeros.
 
-        An AU label that is not 12 bits, a CE label outside 0..6 (-1
-        included) or a VA label that is not two values raises ValueError.
+        This is the one check of label values. An AU label that is not 12
+        bits of 0/1, a CE label outside 0..6 (-1 included) or a VA label
+        that is not two finite values in [-1, 1] raises ValueError.
         """
         labels = list(labels)
         bad = [lab.ce for lab in labels if lab.ce is not None and not 0 <= int(lab.ce) < N_CE]
@@ -111,9 +100,15 @@ class LabelColumns:
             au[au_mask] = rows
         va = np.zeros((len(labels), 2))
         if va_mask.any():
-            rows = np.array([lab.va for lab in labels if lab.va is not None], dtype=float)
-            if rows.shape != (int(va_mask.sum()), 2):
+            given = [lab.va for lab in labels if lab.va is not None]
+            rows = np.array(given, dtype=float)
+            if rows.shape != (len(given), 2):
                 raise ValueError("va labels must be (valence, arousal) pairs")
+            # false for NaN and +-inf as well
+            bad = ~(np.abs(rows) <= 1.0).all(axis=1)
+            if bad.any():
+                raise ValueError(f"va must be two finite values in [-1, 1], "
+                                 f"got {given[int(np.argmax(bad))]!r}")
             va[va_mask] = rows
         return cls(au=au, au_mask=au_mask, ce=ce, va=va, va_mask=va_mask)
 
@@ -166,13 +161,17 @@ class AffectRecord:
     labels: LabelSet
 
     def validate(self, dim):
-        _check_id(self.id)
-        emb = np.asarray(self.embedding, dtype=float)
-        if emb.shape != (dim,):
-            raise ValueError(f"record {self.id}: embedding width {emb.shape} != {dim}")
-        if not np.isfinite(emb).all():
-            raise ValueError(f"record {self.id}: non-finite embedding entry")
-        self.labels.validate()
+        _check_id_and_embedding(self, dim)
+        LabelColumns.from_labels([self.labels])
+
+
+def _check_id_and_embedding(rec, dim):
+    _check_id(rec.id)
+    emb = np.asarray(rec.embedding, dtype=float)
+    if emb.shape != (dim,):
+        raise ValueError(f"record {rec.id}: embedding width {emb.shape} != {dim}")
+    if not np.isfinite(emb).all():
+        raise ValueError(f"record {rec.id}: non-finite embedding entry")
 
 
 def _format_labels(lab):
@@ -202,7 +201,8 @@ def save_datasets(outputs, dim):
     outputs = [(path, list(records)) for path, records in outputs]
     for _, records in outputs:
         for rec in records:
-            rec.validate(dim)
+            _check_id_and_embedding(rec, dim)
+        LabelColumns.from_labels(rec.labels for rec in records)
     # a later output to the same file replaces an earlier one, as successive
     # save_dataset calls would
     outputs = list({os.path.realpath(path): (path, records)

@@ -1,9 +1,10 @@
 """Rule-based CE pseudo-labeling from AU annotations.
 
-A rule fires when all its required AUs are present and all its forbidden
-AUs are absent; a missing CE label is filled only when exactly one distinct
-class fires. Rules conservatively pair required and forbidden sets so the
-inferred labels stay reliable.
+A rule fires when all its required AUs are present (bit == 1) and all its
+forbidden AUs are absent (bit == 0); a missing CE label is filled only when
+exactly one distinct class fires. Rules conservatively pair required and
+forbidden sets so the inferred labels stay reliable. `rule_classes` is the
+one evaluator: each rule runs once over a whole (N, 12) AU column.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .data import AU_NAMES, CE_NAMES, N_AU, N_CE, undecodable, with_ce
+import numpy as np
+
+from .data import AU_NAMES, CE_NAMES, N_AU, N_CE, LabelColumns, undecodable, with_ce
 
 
 class RuleParseError(ValueError):
@@ -35,26 +38,19 @@ class PseudoRule:
     forbidden: frozenset
     ce: int
 
-    def fires(self, au_bits):
-        return all(au_bits[i] == 1 for i in self.required) and \
-            all(au_bits[i] == 0 for i in self.forbidden)
+    def __post_init__(self):
+        if self.required & self.forbidden:
+            raise ValueError("required and forbidden AUs overlap")
+        for i in self.required | self.forbidden:
+            if not 0 <= i < N_AU:
+                raise ValueError(f"AU index {i} out of range 0..{N_AU - 1}")
+        if not 0 <= self.ce < N_CE:
+            raise ValueError(f"CE class {self.ce} out of range 0..{N_CE - 1}")
 
 
 @dataclass
 class PseudoRuleTable:
     rules: list = field(default_factory=list)
-
-    def validate(self):
-        for rule in self.rules:
-            if rule.required & rule.forbidden:
-                raise ValueError(f"rule for class {rule.ce} has overlapping "
-                                 f"required/forbidden AUs")
-            for i in rule.required | rule.forbidden:
-                if not 0 <= i < N_AU:
-                    raise ValueError(f"AU index {i} out of range")
-            if not 0 <= rule.ce < N_CE:
-                raise ValueError(f"CE class {rule.ce} out of range")
-        return self
 
 
 def default_rule_table():
@@ -72,7 +68,7 @@ def default_rule_table():
         rule(("au1", "au4", "au15"), ("au12",), "Sadness"),
         rule(("au1", "au2", "au25"), ("au4",), "Surprise"),
         rule(("au4", "au7", "au23"), ("au12",), "Anger"),
-    ]).validate()
+    ])
 
 
 def _parse_au_list(text, line_no):
@@ -106,42 +102,44 @@ def parse_rule_file(path):
         m = _RULE_RE.match(stripped)
         if not m:
             raise RuleParseError(line_no, f"cannot parse rule {stripped!r}")
-        ce = int(m.group("ce"))
-        if ce >= N_CE:
-            raise RuleParseError(line_no, f"CE class {ce} out of range 0..{N_CE - 1}")
-        rule = PseudoRule(required=_parse_au_list(m.group("req"), line_no),
-                          forbidden=_parse_au_list(m.group("forbid"), line_no),
-                          ce=ce)
-        if rule.required & rule.forbidden:
-            raise RuleParseError(line_no, "required and forbidden AUs overlap")
-        rules.append(rule)
-    return PseudoRuleTable(rules=rules).validate()
+        required = _parse_au_list(m.group("req"), line_no)
+        forbidden = _parse_au_list(m.group("forbid"), line_no)
+        try:
+            rules.append(PseudoRule(required, forbidden, int(m.group("ce"))))
+        except ValueError as exc:
+            raise RuleParseError(line_no, str(exc)) from None
+    return PseudoRuleTable(rules=rules)
+
+
+def rule_classes(au, table):
+    """Each row's inferred class for an (N, 12) AU column: the one class
+    whose rules fire, or -1 when no rule fires or rules of two classes do."""
+    au = np.asarray(au)
+    fired = np.zeros((len(au), N_CE), dtype=bool)
+    for rule in table.rules:
+        fired[:, rule.ce] |= ((au[:, list(rule.required)] == 1).all(axis=1)
+                              & (au[:, list(rule.forbidden)] == 0).all(axis=1))
+    return np.where(fired.sum(axis=1) == 1, fired.argmax(axis=1), -1)
 
 
 def pseudo_infer(au_bits, table):
     """Inferred class for an AU pattern, or None when no or an ambiguous
     set of rules fires."""
-    fired = {rule.ce for rule in table.rules if rule.fires(au_bits)}
-    if len(fired) == 1:
-        return next(iter(fired))
-    return None
+    inferred = int(rule_classes(np.asarray(au_bits)[None, :], table)[0])
+    return None if inferred < 0 else inferred
 
 
 def pseudo_apply(records, table):
     """Fill missing CE labels from AU patterns; never overwrites.
 
-    Returns (new record list, number filled). Applying twice equals
-    applying once.
+    The labels of the records to fill (AU present, CE missing) are checked
+    by LabelColumns.from_labels, so a bad one raises ValueError. Returns
+    (new record list, number filled). Applying twice equals applying once.
     """
-    out = []
-    filled = 0
-    for rec in records:
-        lab = rec.labels
-        if lab.ce is None and lab.au is not None:
-            inferred = pseudo_infer(lab.au, table)
-            if inferred is not None:
-                out.append(with_ce(rec, inferred))
-                filled += 1
-                continue
-        out.append(rec)
-    return out, filled
+    out = list(records)
+    idx = [i for i, rec in enumerate(out) if rec.labels.ce is None and rec.labels.au is not None]
+    inferred = rule_classes(LabelColumns.from_labels(out[i].labels for i in idx).au, table)
+    filled = [(i, ce) for i, ce in zip(idx, inferred.tolist()) if ce >= 0]
+    for i, ce in filled:
+        out[i] = with_ce(out[i], ce)
+    return out, len(filled)

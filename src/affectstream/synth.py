@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import AffectRecord, LabelSet, N_AU, N_CE
 from .engine import make_rng
-from .pseudo import default_rule_table, pseudo_infer
+from .pseudo import default_rule_table, rule_classes
 
 # spread of the pre-tanh VA projection; keeps values well inside (-1, 1)
 _VA_GAIN = 1.5
@@ -131,13 +131,12 @@ def synth_generate(config, rules=None):
     va = np.tanh(_VA_GAIN * (z @ p_va.T)) + config.noise_std * va_noise
     va = np.clip(va, -1.0, 1.0)
     embeddings = np.tanh(z @ lift_w1.T + lift_b1) @ lift_w2.T
+    inferred = rule_classes(au_bits, rules)
+    ce_labels = np.where(inferred >= 0, inferred, ce_fallback).tolist()
 
     records = []
     truth = []
-    for i in range(config.n):
-        ce = pseudo_infer(au_bits[i], rules)
-        if ce is None:
-            ce = int(ce_fallback[i])
+    for i, ce in enumerate(ce_labels):
         rec_id = f"s{i:06d}"
         # one row object for both records lets save_datasets format it once
         emb = embeddings[i]

@@ -32,8 +32,8 @@ class TrainSettings:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not np.isfinite(self.lr):
-            raise ValueError(f"lr must be finite, got {self.lr}")
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if not 0.0 <= self.weight_decay < np.inf:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.seed < 0:
@@ -110,6 +110,8 @@ def fit(model, records, settings, log_path=None):
 
 def evaluate_model(model, records, weights=None):
     """Predict on records and score against their labels."""
+    if not records:
+        raise ValueError("evaluate_model needs at least one record, got none")
     emb = np.stack([r.embedding for r in records])
     au, ce, va = model.predict(emb)
     return evaluate(au, ce, va, LabelColumns.from_labels(r.labels for r in records),

@@ -168,6 +168,8 @@ BAD_INPUT_CASES = [
     ("noise-std-nan-config", ["synth", "--config", "nan.cfg"] + VERB_ARGS["synth"], "noise_std"),
     ("latent-dim-1", ["synth", "--latent-dim", "1"] + VERB_ARGS["synth"], "latent_dim"),
     ("lr-nan-flag", ["train", "--lr", "nan"] + VERB_ARGS["train"], "lr"),
+    ("lr-negative-flag", ["train", "--lr", "-1"] + VERB_ARGS["train"], "lr"),
+    ("lr-zero-config", ["train", "--config", "lr.cfg"] + VERB_ARGS["train"], "lr"),
     ("variant-config", ["train", "--config", "variant.cfg"] + VERB_ARGS["train"], "variant"),
     ("optimizer-config", ["kfold", "--config", "optimizer.cfg"] + VERB_ARGS["kfold"],
      "optimizer"),
@@ -195,6 +197,7 @@ def test_bad_input_exit_2(tmp_path, argv, named):
     (tmp_path / "optimizer.cfg").write_text("optimizer = foo\n")
     (tmp_path / "adapter.cfg").write_text("adapter = maybe\n")
     (tmp_path / "eps.cfg").write_text("eps = 0\n")
+    (tmp_path / "lr.cfg").write_text("lr = 0\n")
     proc = run_cli(argv, tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert named in proc.stderr

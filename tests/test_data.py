@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from affectstream.data import (AffectRecord, DatasetFormatError, LabelColumns, LabelSet,
-                               batch_iter, kfold_split, load_dataset,
+from affectstream.data import (N_AU, N_CE, AffectRecord, DatasetFormatError, LabelColumns,
+                               LabelSet, batch_iter, kfold_split, load_dataset,
                                save_dataset, with_ce)
 from affectstream.engine import make_rng
 
@@ -159,17 +159,17 @@ def test_loader_still_strips_ids(tmp_path):
 
 
 def test_labelset_validation():
-    LabelSet(au=np.ones(12, dtype=int), ce=6, va=np.array([1.0, -1.0])).validate()
+    LabelColumns.from_labels([LabelSet(au=np.ones(12, dtype=int), ce=6, va=np.array([1.0, -1.0]))])
     with pytest.raises(ValueError):
-        LabelSet(au=np.ones(11, dtype=int)).validate()
+        LabelColumns.from_labels([LabelSet(au=np.ones(11, dtype=int))])
     with pytest.raises(ValueError):
-        LabelSet(au=np.full(12, 2)).validate()
+        LabelColumns.from_labels([LabelSet(au=np.full(12, 2))])
     with pytest.raises(ValueError):
-        LabelSet(ce=7).validate()
+        LabelColumns.from_labels([LabelSet(ce=7)])
     with pytest.raises(ValueError):
-        LabelSet(va=np.array([0.0, 1.01])).validate()
+        LabelColumns.from_labels([LabelSet(va=np.array([0.0, 1.01]))])
     with pytest.raises(ValueError):
-        LabelSet(va=np.array([0.0])).validate()
+        LabelColumns.from_labels([LabelSet(va=np.array([0.0]))])
 
 
 def test_record_validation():
@@ -331,3 +331,65 @@ def test_label_columns_hold_each_label_and_its_presence(labels):
 def test_label_columns_reject_a_bad_label_instead_of_reading_it_as_missing(bad):
     with pytest.raises(ValueError):
         LabelColumns.from_labels([LabelSet(ce=1), bad])
+
+
+def labelset_validate(self):
+    """LabelSet.validate as it stood before LabelColumns.from_labels became
+    the one check of label values; the oracle for that check."""
+    if self.au is not None:
+        au = np.asarray(self.au)
+        if au.shape != (N_AU,) or not ((au == 0) | (au == 1)).all():
+            raise ValueError(f"au labels must be {N_AU} bits, got {self.au!r}")
+    if self.ce is not None and not 0 <= int(self.ce) < N_CE:
+        raise ValueError(f"ce class out of range 0..{N_CE - 1}: {self.ce!r}")
+    if self.va is not None:
+        va = np.asarray(self.va, dtype=float)
+        if va.shape != (2,) or not np.isfinite(va).all() or np.abs(va).max() > 1.0:
+            raise ValueError(f"va must be two finite values in [-1, 1], got {self.va!r}")
+
+
+BAD_VA = [np.nan, np.inf, -np.inf, 1.01, -5.0]
+
+
+@st.composite
+def maybe_bad_label_sets(draw):
+    """Label sets that are valid or hold one of the bad values the oracle
+    rejects: NaN, +-inf and |VA| > 1, an AU bit of 2, 11 AU bits, CE -1 or 7."""
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        au = draw(st.none() | hnp.arrays(int, 12, elements=st.integers(0, 1))
+                  | hnp.arrays(int, 12, elements=st.integers(0, 2))
+                  | hnp.arrays(int, 11, elements=st.integers(0, 1)))
+        ce = draw(st.none() | st.integers(-1, 7))
+        va = draw(st.none() | hnp.arrays(float, 2, elements=st.floats(-1.0, 1.0)
+                                         | st.sampled_from(BAD_VA)))
+        out.append(LabelSet(au=au, ce=ce, va=va))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(maybe_bad_label_sets())
+@example([LabelSet(va=np.array([np.nan, 0.2]))])
+@example([LabelSet(va=np.array([0.0, np.inf]))])
+@example([LabelSet(va=np.array([-np.inf, 0.0]))])
+@example([LabelSet(va=np.array([0.0, 1.01]))])
+@example([LabelSet(au=np.full(12, 2))])
+@example([LabelSet(au=np.ones(11, dtype=int))])
+@example([LabelSet(ce=-1)])
+@example([LabelSet(ce=7)])
+@example([LabelSet(ce=6, va=np.array([1.0, -1.0]))])
+def test_from_labels_rejects_exactly_what_labelset_validate_did(labels):
+    rejected = []
+    for lab in labels:
+        try:
+            labelset_validate(lab)
+        except ValueError as exc:
+            rejected.append(str(exc))
+    if not rejected:
+        LabelColumns.from_labels(labels)
+        return
+    with pytest.raises(ValueError) as err:
+        LabelColumns.from_labels(labels)
+    if all(msg.startswith("va") for msg in rejected):
+        # only VA labels are bad: the same message, naming the first of them
+        assert str(err.value) == rejected[0]

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from affectstream.data import AffectRecord, LabelSet
 from affectstream.engine import make_rng
 from affectstream.pseudo import (PseudoRule, PseudoRuleTable, RuleParseError,
                                  default_rule_table, parse_rule_file,
-                                 pseudo_apply, pseudo_infer)
+                                 pseudo_apply, pseudo_infer, rule_classes)
 
 # index map for the fixed AU order
 AU = {"au1": 0, "au2": 1, "au4": 2, "au6": 3, "au7": 4, "au10": 5,
@@ -58,7 +61,7 @@ def test_multiple_rules_same_class_still_fire():
     table = PseudoRuleTable(rules=[
         PseudoRule(required=frozenset({0}), forbidden=frozenset({1}), ce=2),
         PseudoRule(required=frozenset({3}), forbidden=frozenset({4}), ce=2),
-    ]).validate()
+    ])
     assert pseudo_infer(bits("au1", "au6"), table) == 2
 
 
@@ -69,6 +72,49 @@ def test_table_validation_rejects_overlap_and_ranges():
         PseudoRuleTable(rules=[PseudoRule(frozenset({12}), frozenset(), 1)]).validate()
     with pytest.raises(ValueError):
         PseudoRuleTable(rules=[PseudoRule(frozenset({0}), frozenset(), 7)]).validate()
+
+
+# -- the column evaluator against the per-rule oracle ----------------------
+
+
+def fires(rule, au_bits):
+    """PseudoRule.fires as it stood before rule_classes became the one
+    evaluator."""
+    return all(au_bits[i] == 1 for i in rule.required) and \
+        all(au_bits[i] == 0 for i in rule.forbidden)
+
+
+def oracle_pseudo_infer(au_bits, table):
+    """pseudo_infer as it stood before rule_classes: one record, one rule at
+    a time."""
+    fired = {rule.ce for rule in table.rules if fires(rule, au_bits)}
+    if len(fired) == 1:
+        return next(iter(fired))
+    return None
+
+
+@st.composite
+def rules(draw):
+    required = draw(st.frozensets(st.integers(0, 11), max_size=4))
+    forbidden = draw(st.frozensets(st.integers(0, 11).filter(lambda i: i not in required),
+                                   max_size=4))
+    return PseudoRule(required, forbidden, draw(st.integers(0, 6)))
+
+
+# AU entries that are not 0/1 (2, -1, 0.5, NaN) neither fire a rule nor block one
+AU_ENTRIES = st.sampled_from([0.0, 1.0, 2.0, -1.0, 0.5, np.nan]) | st.integers(0, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(rules(), max_size=6),
+       hnp.arrays(float, st.tuples(st.integers(0, 20), st.just(12)), elements=AU_ENTRIES))
+def test_rule_classes_match_the_per_rule_oracle(table_rules, au):
+    table = PseudoRuleTable(rules=table_rules)
+    expected = [oracle_pseudo_infer(row, table) for row in au]
+    assert rule_classes(au, table).tolist() == [-1 if c is None else c for c in expected]
+    inferred = [pseudo_infer(row, table) for row in au]
+    assert inferred == expected
+    assert all(c is None or type(c) is int for c in inferred)
 
 
 # -- applying to records -------------------------------------------------
@@ -94,6 +140,12 @@ def test_pseudo_apply_fills_only_eligible():
     assert out[2].labels.ce is None
     assert out[3].labels.ce is None
     assert records[0].labels.ce is None   # input untouched
+
+
+def test_pseudo_apply_rejects_a_bad_label_of_a_record_to_fill():
+    records = [make_record(0, au=bits("au6", "au12")), make_record(1, au=np.full(12, 2))]
+    with pytest.raises(ValueError, match="au labels"):
+        pseudo_apply(records, default_rule_table())
 
 
 def test_pseudo_apply_idempotent():

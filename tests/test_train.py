@@ -38,6 +38,13 @@ def test_negative_seed_is_named_by_the_settings():
         TrainSettings(seed=-1).validate()
 
 
+@pytest.mark.parametrize("lr", [-1.0, 0.0])
+def test_lr_must_be_positive(lr):
+    """A negative lr would train as gradient ascent without a word."""
+    with pytest.raises(ValueError, match="lr must be finite and > 0"):
+        TrainSettings(lr=lr).validate()
+
+
 def test_fit_returns_one_breakdown_per_epoch(tmp_path):
     records = small_records()
     model = Model(NetConfig(seed=0, **SMALL_NET))
@@ -75,6 +82,18 @@ def test_fit_rejects_epoch_without_contributing_sample():
         fit(model, records, quick_settings(batch_size=1, weight_decay=0.01))
     history = fit(model, records, quick_settings(batch_size=3))
     assert all(bd.n_va == 6 and bd.l_va > 0.0 for bd in history)
+
+
+def test_fit_names_a_nan_va_label_before_training():
+    """A NaN VA label from Python is rejected up front, naming VA, instead of
+    surfacing as a non-finite weight gradient in the first step."""
+    records = va_only(small_records(n=8))
+    records[3] = AffectRecord(id="bad", embedding=records[3].embedding,
+                              labels=LabelSet(va=np.array([np.nan, 0.2])))
+    model = Model(NetConfig(seed=0, **SMALL_NET))
+    # NumericError is a RuntimeError, so it would not satisfy this
+    with pytest.raises(ValueError, match="va must be two finite values"):
+        fit(model, records, quick_settings())
 
 
 def test_fit_counts_only_labeled_samples():
@@ -149,3 +168,9 @@ def test_evaluate_model_reports_all_tracks():
     assert report.au_score is not None
     assert report.ce_score is not None
     assert report.va_score is not None
+
+
+def test_evaluate_model_names_empty_input():
+    model = Model(NetConfig(seed=0, **SMALL_NET))
+    with pytest.raises(ValueError, match="at least one record"):
+        evaluate_model(model, [])
