@@ -93,23 +93,14 @@ class LabelColumns:
         au_mask = np.array([lab.au is not None for lab in labels], dtype=bool)
         va_mask = np.array([lab.va is not None for lab in labels], dtype=bool)
         au = np.zeros((len(labels), N_AU), dtype=np.int8)
-        if au_mask.any():
-            rows = np.array([lab.au for lab in labels if lab.au is not None])
-            if rows.shape != (int(au_mask.sum()), N_AU) or not ((rows == 0) | (rows == 1)).all():
-                raise ValueError(f"au labels must be {N_AU} bits")
-            au[au_mask] = rows
+        au[au_mask] = _label_rows([lab.au for lab in labels if lab.au is not None], N_AU, None,
+                                  lambda rows: (rows == 0) | (rows == 1),
+                                  f"au labels must be {N_AU} bits")
         va = np.zeros((len(labels), 2))
-        if va_mask.any():
-            given = [lab.va for lab in labels if lab.va is not None]
-            rows = np.array(given, dtype=float)
-            if rows.shape != (len(given), 2):
-                raise ValueError("va labels must be (valence, arousal) pairs")
-            # false for NaN and +-inf as well
-            bad = ~(np.abs(rows) <= 1.0).all(axis=1)
-            if bad.any():
-                raise ValueError(f"va must be two finite values in [-1, 1], "
-                                 f"got {given[int(np.argmax(bad))]!r}")
-            va[va_mask] = rows
+        va[va_mask] = _label_rows([lab.va for lab in labels if lab.va is not None], 2, float,
+                                  # false for NaN and +-inf as well
+                                  lambda rows: np.abs(rows) <= 1.0,
+                                  "va must be two finite values in [-1, 1]")
         return cls(au=au, au_mask=au_mask, ce=ce, va=va, va_mask=va_mask)
 
     @property
@@ -125,6 +116,29 @@ class LabelColumns:
 
     def any_present(self):
         return bool(self.au_mask.any() or self.ce_mask.any() or self.va_mask.any())
+
+
+def _label_rows(given, width, dtype, valid, message):
+    """The labels in `given` stacked as (len(given), width) rows of dtype.
+
+    Every entry must pass valid(rows); otherwise ValueError(message) names
+    the first label that is not `width` valid values. The labels are stacked
+    and checked at once, and scanned one at a time only when that fails.
+    """
+    def stack(labs):
+        try:
+            rows = np.array(labs, dtype=dtype)
+        except ValueError:  # ragged: some label is not `width` values
+            return None
+        return rows if rows.shape == (len(labs), width) and valid(rows).all() else None
+
+    if not given:
+        return np.empty((0, width))
+    rows = stack(given)
+    if rows is None:
+        bad = next(lab for lab in given if stack([lab]) is None)
+        raise ValueError(f"{message}, got {bad!r}")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -222,36 +236,30 @@ def save_datasets(outputs, dim):
 
 
 def _write_rows(files, columns, dim):
-    for fh in files:
-        fh.write(f"{_HEADER_PREFIX}{dim}\n")
-    texts = format_rows(_distinct_embeddings(columns), dim)
-    for row in zip_longest(*columns):
-        emb_obj = emb_text = None
-        for fh, rec in zip(files, row):
-            if rec is None:
-                continue
-            if rec.embedding is not emb_obj:
-                emb_obj = rec.embedding
-                emb_text = next(texts)
-            fh.write(f"{rec.id},{emb_text},{_format_labels(rec.labels)}\n")
-
-
-def _distinct_embeddings(columns):
-    """The embeddings _write_rows formats, in its order: in each row, every
-    one that is not the very object the previous output's record holds."""
+    """Write the i-th record of each output in turn; in each row, a record
+    holding the very embedding object of the previous output's record reuses
+    its text, so every other embedding is formatted once, in write order."""
+    writes = []
     for row in zip_longest(*columns):
         emb_obj = None
-        for rec in row:
-            if rec is not None and rec.embedding is not emb_obj:
+        for fh, rec in zip(files, row):
+            if rec is not None:
+                writes.append((fh, rec, rec.embedding is not emb_obj))
                 emb_obj = rec.embedding
-                yield emb_obj
+    texts = format_rows((rec.embedding for _, rec, new in writes if new), dim)
+    for fh in files:
+        fh.write(f"{_HEADER_PREFIX}{dim}\n")
+    for fh, rec, new in writes:
+        if new:
+            emb_text = next(texts)
+        fh.write(f"{rec.id},{emb_text},{_format_labels(rec.labels)}\n")
 
 
 def save_dataset(records, path, dim=None):
     """Write records in the line-oriented text format (bit-exact round trip).
 
-    Rows are written as they are formatted, so memory stays bounded by one
-    block of rows; see save_datasets.
+    Rows are written as they are formatted, so the text held at once stays
+    bounded by one block of rows; see save_datasets.
     """
     records = list(records)
     if dim is None:

@@ -14,6 +14,8 @@ import numpy as np
 
 
 OPTIMIZERS = ("adam", "sgd")
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class DimensionError(ValueError):
@@ -170,17 +172,13 @@ class Optimizer:
     fills gradients by accumulation zeroes them itself (ParamStore.zero_grads).
     """
 
-    def __init__(self, mode="adam", lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
-                 weight_decay=0.0):
+    def __init__(self, mode="adam", lr=1e-3, weight_decay=0.0):
         if mode not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer mode {mode!r}")
         if weight_decay < 0.0:
             raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
         self.mode = mode
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self._m = {}
         self._v = {}
@@ -196,13 +194,13 @@ class Optimizer:
         adam = self.mode == "adam"
         if adam:
             self._t += 1
-            b1, b2 = self.beta1, self.beta2
+            b1, b2 = ADAM_BETA1, ADAM_BETA2
             # bias correction folded into one step size and a scaled eps:
             # lr * (m / bc1) / (sqrt(v / bc2) + eps)
             #   == step * m / (sqrt(v) + eps * sqrt(bc2))
             root_bc2 = math.sqrt(1.0 - b2 ** self._t)
             step = lr * root_bc2 / (1.0 - b1 ** self._t)
-            eps = self.eps * root_bc2
+            eps = ADAM_EPS * root_bc2
         decay = 1.0 - lr * self.weight_decay
         # overflow surfaces as inf, which the finiteness checks then name
         with np.errstate(over="ignore"):

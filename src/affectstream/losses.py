@@ -98,48 +98,34 @@ def ccc(pred, truth):
     n = pred.shape[0]
     if n < 2:
         raise ValueError(f"ccc needs at least 2 samples, got {n}")
-    mp, mt = pred.mean(), truth.mean()
-    vp, vt = pred.var(), truth.var()
-    cov = ((pred - mp) * (truth - mt)).mean()
-    denom = vp + vt + (mp - mt) ** 2
-    if denom < _TINY:
-        e = _unit_exponent(pred, truth)
-        if e > 0:
-            return ccc(np.ldexp(pred, e), np.ldexp(truth, e))
-    if denom == 0.0:
-        return 1.0 if (vp == 0.0 and vt == 0.0 and mp == mt) else 0.0
-    return 2.0 * cov / denom
+    return _ccc_and_grad(pred, truth)[0]
 
 
-def _ccc_grad(pred, truth):
-    """d ccc / d pred_i; zero when the denominator is degenerate."""
+def _ccc_and_grad(pred, truth):
+    """(ccc, d ccc / d pred_i) of two float vectors from one set of moments;
+    the gradient is zero when the denominator is degenerate.
+
+    CCC is scale-free, and scaling by a power of two is exact, so inputs
+    that differ only far below 1e-150, whose squared spreads underflow (a
+    denominator below _TINY), are scored at k = 2**e times their size, with
+    e lifting max(|pred|, |truth|) into [0.5, 1); the gradient at k times
+    the inputs is then scaled back by k.
+    """
     n = pred.shape[0]
     mp, mt = pred.mean(), truth.mean()
     vp, vt = pred.var(), truth.var()
     cov = ((pred - mp) * (truth - mt)).mean()
     denom = vp + vt + (mp - mt) ** 2
-    # overflow surfaces as inf, which the optimizer's finiteness check names
-    with np.errstate(over="ignore", divide="ignore"):
-        factor = 2.0 / (n * denom)
-        if math.isinf(factor):
-            # the denominator underflowed: d ccc/d pred = k * (d ccc/d pred)(k pred, k truth)
-            e = _unit_exponent(pred, truth)
-            if e > 0:
-                return np.ldexp(_ccc_grad(np.ldexp(pred, e), np.ldexp(truth, e)), e)
+    if denom < _TINY:
+        e = -math.frexp(max(np.abs(pred).max(), np.abs(truth).max()))[1]
+        if e > 0:
+            value, grad = _ccc_and_grad(np.ldexp(pred, e), np.ldexp(truth, e))
+            return value, np.ldexp(grad, e)
     if denom == 0.0:
-        return np.zeros_like(pred)
+        value = 1.0 if (vp == 0.0 and vt == 0.0 and mp == mt) else 0.0
+        return value, np.zeros_like(pred)
     c = 2.0 * cov / denom
-    return factor * ((truth - mt) - c * (pred - mt))
-
-
-def _unit_exponent(pred, truth):
-    """The e for which k = 2**e lifts max(|pred|, |truth|) into [0.5, 1).
-
-    CCC is scale-free, and scaling by a power of two is exact, so inputs
-    that differ only far below 1e-150, whose squared spreads underflow, are
-    scored at k times their size instead.
-    """
-    return -math.frexp(max(np.abs(pred).max(), np.abs(truth).max()))[1]
+    return c, 2.0 / (n * denom) * ((truth - mt) - c * (pred - mt))
 
 
 def va_loss(pred, truth):
@@ -157,8 +143,9 @@ def va_loss(pred, truth):
     loss = 0.0
     grad = np.zeros_like(pred)
     for d in range(2):
-        loss += 1.0 - ccc(pred[:, d], truth[:, d])
-        grad[:, d] = -_ccc_grad(pred[:, d], truth[:, d])
+        value, grad_d = _ccc_and_grad(pred[:, d], truth[:, d])
+        loss += 1.0 - value
+        grad[:, d] = -grad_d
     return loss, grad
 
 

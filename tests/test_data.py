@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -378,6 +380,8 @@ def maybe_bad_label_sets(draw):
 @example([LabelSet(ce=-1)])
 @example([LabelSet(ce=7)])
 @example([LabelSet(ce=6, va=np.array([1.0, -1.0]))])
+@example([LabelSet(va=np.array([0.1, 0.2])), LabelSet(va=np.zeros(3))])
+@example([LabelSet(au=np.ones(12, dtype=int)), LabelSet(au=np.ones(11, dtype=int))])
 def test_from_labels_rejects_exactly_what_labelset_validate_did(labels):
     rejected = []
     for lab in labels:
@@ -393,3 +397,10 @@ def test_from_labels_rejects_exactly_what_labelset_validate_did(labels):
     if all(msg.startswith("va") for msg in rejected):
         # only VA labels are bad: the same message, naming the first of them
         assert str(err.value) == rejected[0]
+    try:
+        for lab in labels:
+            labelset_validate(replace(lab, au=None))
+    except ValueError:
+        return
+    # only AU labels are bad: the same message, naming the first of them
+    assert str(err.value) == rejected[0]

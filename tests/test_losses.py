@@ -209,7 +209,7 @@ def test_va_loss_gradient_matches_finite_differences():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("scale", [1e-160, 2.0 ** -532, 1e-300])
+@pytest.mark.parametrize("scale", [1e-160, 2.0 ** -511, 2.0 ** -532, 1e-300])
 def test_va_loss_is_scale_free_down_to_underflowing_denominators(scale):
     """CCC is scale-free, so the loss at (s*pred, s*truth) equals the loss at
     (pred, truth) and the gradient is that gradient divided by s, also where
@@ -220,6 +220,8 @@ def test_va_loss_is_scale_free_down_to_underflowing_denominators(scale):
     pred[0] += 0.1  # one entry per column
     loss, grad = va_loss(pred, truth)
     loss_s, grad_s = va_loss(scale * pred, scale * truth)
+    assert loss_s == (1.0 - ccc(scale * pred[:, 0], scale * truth[:, 0])) \
+        + (1.0 - ccc(scale * pred[:, 1], scale * truth[:, 1]))
     assert np.isfinite(grad_s).all()
     assert loss_s == pytest.approx(loss, rel=1e-12)
     np.testing.assert_allclose(grad_s * scale, grad, rtol=1e-12, atol=0.0)

@@ -65,13 +65,13 @@ def test_multiple_rules_same_class_still_fire():
     assert pseudo_infer(bits("au1", "au6"), table) == 2
 
 
-def test_table_validation_rejects_overlap_and_ranges():
+def test_rule_rejects_overlap_and_ranges():
     with pytest.raises(ValueError):
-        PseudoRuleTable(rules=[PseudoRule(frozenset({0}), frozenset({0}), 1)]).validate()
+        PseudoRule(frozenset({0}), frozenset({0}), 1)
     with pytest.raises(ValueError):
-        PseudoRuleTable(rules=[PseudoRule(frozenset({12}), frozenset(), 1)]).validate()
+        PseudoRule(frozenset({12}), frozenset(), 1)
     with pytest.raises(ValueError):
-        PseudoRuleTable(rules=[PseudoRule(frozenset({0}), frozenset(), 7)]).validate()
+        PseudoRule(frozenset({0}), frozenset(), 7)
 
 
 # -- the column evaluator against the per-rule oracle ----------------------
