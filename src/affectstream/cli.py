@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import fields
 
 from .data import (DatasetFormatError, LabelColumns, load_dataset, read_dataset_dim,
                    save_dataset, save_datasets, undecodable)
-from .engine import OPTIMIZERS, finite_diff_check
+from ._options import check_field
+from .engine import finite_diff_check
 from .metrics import ScoreWeights, evaluate
-from .model import (VARIANTS, CheckpointError, Model, NetConfig, load_checkpoint,
-                    save_checkpoint)
+from .model import CheckpointError, Model, NetConfig, load_checkpoint, save_checkpoint
 from .pseudo import RuleParseError, default_rule_table, parse_rule_file, pseudo_apply
 from .synth import SynthConfig, synth_generate
 from .train import (NoLabeledDataError, TrainSettings, evaluate_model, fit,
@@ -38,51 +37,35 @@ class UsageError(ValueError):
     """Bad flag or config-file value; exits 2."""
 
 
-def checked(cast, ok, rule):
-    """Type for a flag whose text cast() must give a value for which ok() holds."""
-    def check(text):
-        value = cast(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
-        return value
-    check.__name__ = cast.__name__
-    return check
-
-
-positive_int = checked(int, lambda v: v >= 1, ">= 1")
-nonneg_int = checked(int, lambda v: v >= 0, ">= 0")
-finite_float = checked(float, math.isfinite, "finite")
-rate_float = checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
-nonneg_float = checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
-positive_float = checked(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
-
-
-def choice(mapping):
-    """Type for a flag that takes one of mapping's keys; gives its value."""
-    def cast(text):
-        if text not in mapping:
-            raise argparse.ArgumentTypeError(
-                f"must be one of {', '.join(mapping)}, got {text!r}")
-        return mapping[text]
-    cast.metavar = "{" + ",".join(mapping) + "}"
-    return cast
-
-
-# the type of the flag and config key of each dataclass field the CLI sets;
-# the default is the field's own
-FIELD_TYPES = {
-    SynthConfig: dict(latent_dim=positive_int, noise_std=nonneg_float,
-                      missing_au=rate_float, missing_ce=rate_float, missing_va=rate_float,
-                      embed_dim=positive_int),
-    NetConfig: dict(variant=choice({v: v for v in VARIANTS}),
-                    adapter=choice({"on": True, "off": False})),
-    TrainSettings: dict(epochs=positive_int, batch_size=positive_int, lr=positive_float,
-                        weight_decay=nonneg_float,
-                        optimizer=choice({m: m for m in OPTIMIZERS})),
-    ScoreWeights: {f.name: finite_float for f in fields(ScoreWeights)},
+# the fields the CLI sets by flag and config key; type, default and rule are the field's
+FIELDS = {
+    SynthConfig: ("latent_dim", "noise_std", "missing_au", "missing_ce", "missing_va",
+                  "embed_dim"),
+    NetConfig: ("variant", "adapter"),
+    TrainSettings: ("epochs", "batch_size", "lr", "weight_decay", "optimizer"),
+    ScoreWeights: tuple(f.name for f in fields(ScoreWeights)),
 }
 # ScoreWeights flags read --w-au-f1 and so on
 PREFIX = {ScoreWeights: "w_"}
+
+# text to value by field type; a bool is "on" or "off", other text its rule refuses
+CASTS = {"int": int, "float": float, "str": str,
+         "bool": lambda text: {"on": True, "off": False}.get(text, text)}
+
+
+def field_type(cls, name):
+    """Type for the flag or config key of cls's field `name`: the text cast
+    to the field's type, then checked against the field's rule."""
+    f = next(f for f in fields(cls) if f.name == name)
+    cast = CASTS[f.type]
+    def parse(text):
+        value = cast(text)  # a ValueError here is argparse's "invalid <type> value"
+        try:
+            return check_field(f, value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    parse.__name__, parse.rule = f.type, f.metadata["rule"]
+    return parse
 
 
 def load_config_file(path):
@@ -118,23 +101,29 @@ def _resolve(args, key, cast, default=None):
 
 
 def add_fields(parser, cls):
-    """One flag per CLI field of dataclass cls, e.g. --batch-size."""
-    for name, cast in FIELD_TYPES[cls].items():
-        key = PREFIX.get(cls, "") + name
-        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=cast, default=None,
-                            metavar=getattr(cast, "metavar", None))
+    """One flag per CLI field of dataclass cls, e.g. --batch-size, with the
+    field's rule as its help."""
+    for name in FIELDS[cls]:
+        key, parse = PREFIX.get(cls, "") + name, field_type(cls, name)
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=parse, default=None,
+                            help=parse.rule)
 
 
 def from_fields(args, cls, **given):
-    """A cls whose CLI fields come from their flag, else config key, else
-    the field default; a seed given by flag or config key sets its seed."""
-    for name, cast in FIELD_TYPES[cls].items():
-        value = _resolve(args, PREFIX.get(cls, "") + name, cast)
+    """A validated cls whose CLI fields come from their flag, else config key,
+    else the field default; a seed given by flag or config key sets its seed."""
+    for name in FIELDS[cls]:
+        value = _resolve(args, PREFIX.get(cls, "") + name, field_type(cls, name))
         if value is not None:
             given[name] = value
     if args.seed is not None and "seed" in {f.name for f in fields(cls)}:
         given["seed"] = args.seed
-    return cls(**given)
+    obj = cls(**given)
+    try:
+        obj.validate()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return obj
 
 
 # -- commands ------------------------------------------------------------
@@ -142,10 +131,6 @@ def from_fields(args, cls, **given):
 
 def cmd_synth(args):
     config = from_fields(args, SynthConfig, n=args.n)
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     records, truth = synth_generate(config)
     truth_out = args.truth_out or (args.out + ".truth")
     save_datasets([(args.out, records), (truth_out, truth)], config.embed_dim)
@@ -198,9 +183,9 @@ def cmd_eval(args):
 
 def cmd_kfold(args):
     records = load_dataset(args.data)
-    if not any(r.labels.any_present() for r in records):
+    if not LabelColumns.from_labels(r.labels for r in records).any_present():
         raise NoLabeledDataError("no record carries any label")
-    k = _resolve(args, "k", positive_int, 5)
+    k = _resolve(args, "k", int, 5)
     if k < 2:
         raise UsageError(f"k must be >= 2, got {k}")
     if k > len(records):
@@ -228,7 +213,7 @@ def cmd_kfold(args):
 
 def cmd_gradcheck(args):
     net = from_fields(args, NetConfig)
-    eps = _resolve(args, "eps", positive_float, 1e-5)
+    eps = _resolve(args, "eps", float)
     model, batch = make_gradcheck_setup(variant=net.variant, adapter=net.adapter, seed=net.seed)
 
     def loss_fn():
@@ -238,7 +223,10 @@ def cmd_gradcheck(args):
             dw.flat[0] += 1.0
         return breakdown.total
 
-    result = finite_diff_check(loss_fn, model.store, eps=eps)
+    try:  # eps's default and rule are finite_diff_check's
+        result = finite_diff_check(loss_fn, model.store, **({} if eps is None else {"eps": eps}))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if result.max_rel_err < GRADCHECK_TOL:
         print(f"gradcheck pass: max relative error {result.max_rel_err:.3e} "
               f"({net.variant} variant, {model.store.param_count()} parameters)")
@@ -268,14 +256,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, *classes):
-        p.add_argument("--seed", type=nonneg_int, default=None)
+        p.add_argument("--seed", type=field_type(TrainSettings, "seed"), default=None)
         p.add_argument("--config", default=None, help="key = value settings file")
         for cls in classes:
             add_fields(p, cls)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset plus truth sidecar")
     add_common(p, SynthConfig)
-    p.add_argument("--n", type=positive_int, required=True)
+    p.add_argument("--n", type=field_type(SynthConfig, "n"), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--truth-out", dest="truth_out", default=None)
     p.set_defaults(func=cmd_synth)
@@ -299,13 +287,13 @@ def build_parser():
     p = sub.add_parser("kfold", help="k-fold cross-validated train + eval")
     add_common(p, TrainSettings, NetConfig, ScoreWeights)
     p.add_argument("--data", required=True)
-    p.add_argument("--k", type=positive_int, default=None)
+    p.add_argument("--k", type=int, default=None)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_kfold)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all analytic gradients")
     add_common(p, NetConfig)
-    p.add_argument("--eps", type=positive_float, default=None)
+    p.add_argument("--eps", type=float, default=None)
     p.add_argument("--corrupt-grad", dest="corrupt_grad", action="store_true",
                    help="debug: tamper with one analytic gradient to force a failure")
     p.set_defaults(func=cmd_gradcheck)
@@ -326,7 +314,7 @@ def main(argv=None):
     try:
         args._config = load_config_file(args.config) if args.config else {}
         # every verb takes a seed; validate it once, flag or config key
-        args.seed = _resolve(args, "seed", nonneg_int)
+        args.seed = _resolve(args, "seed", field_type(TrainSettings, "seed"))
         return args.func(args)
     except RuleParseError as exc:
         print(f"error: rule file: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ from itertools import zip_longest
 import numpy as np
 
 from ._floattext import format_rows
+from .engine import make_rng
 
 # Label-space conventions. The AU set and emotion-class order are metadata,
 # not hard-wired semantics: everything downstream indexes by position.
@@ -55,9 +56,6 @@ class LabelSet:
     au: np.ndarray | None = None
     ce: int | None = None
     va: np.ndarray | None = None
-
-    def any_present(self):
-        return self.au is not None or self.ce is not None or self.va is not None
 
 
 @dataclass(frozen=True)
@@ -406,15 +404,12 @@ def kfold_split(records, k, seed):
         raise ValueError(f"k must be >= 2, got {k}")
     if k > n:
         raise ValueError(f"k={k} exceeds dataset size {n}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    order = rng.permutation(n)
-    fold_indices = np.array_split(order, k)
+    folds = np.array_split(make_rng(seed).permutation(n), k)
     splits = []
-    for i in range(k):
-        val_idx = set(fold_indices[i].tolist())
-        train = [records[j] for j in order if j not in val_idx]
-        val = [records[j] for j in fold_indices[i]]
-        splits.append((train, val))
+    for i, fold in enumerate(folds):
+        # the other folds, in shuffled order
+        train = np.concatenate(folds[:i] + folds[i + 1:])
+        splits.append(([records[j] for j in train], [records[j] for j in fold]))
     return splits
 
 
@@ -431,8 +426,7 @@ def batch_iter(records, labels, batch_size, seed, epoch):
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if len(labels) != len(records):
         raise ValueError(f"{len(labels)} label rows for {len(records)} records")
-    rng = np.random.Generator(np.random.PCG64(int(seed) ^ int(epoch)))
-    order = rng.permutation(len(records))
+    order = make_rng(int(seed) ^ int(epoch)).permutation(len(records))
     for start in range(0, len(records), batch_size):
         idx = order[start:start + batch_size]
         yield Batch(np.stack([records[j].embedding for j in idx]), labels[idx])

@@ -251,7 +251,10 @@ def finite_diff_check(loss_fn: Callable[[], float], store, eps=1e-5):
     uses max(|analytic|, |numeric|, 1e-8) as denominator. Returns the
     maximum relative error together with the worst entry's name; a
     non-finite error (a NaN gradient or loss) counts as inf, the worst.
+    eps must be finite and > 0.
     """
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and > 0, got {eps!r}")
     store.zero_grads()
     loss_fn()
     analytic = {name: [g.copy() for g in store.grads(name)] for name in store.names()}

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._options import FINITE, Options, option
 from .data import N_AU, N_CE
 from .losses import ccc  # single shared CCC definition
 
@@ -71,15 +72,15 @@ def ce_metrics(pred, truth):
 
 
 @dataclass
-class ScoreWeights:
+class ScoreWeights(Options):
     """Challenge score composition weights."""
 
-    au_f1: float = 0.5
-    au_tacc: float = 0.5
-    ce_f1: float = 0.67
-    ce_acc: float = 0.33
-    va_v: float = 0.5
-    va_a: float = 0.5
+    au_f1: float = option(0.5, *FINITE)
+    au_tacc: float = option(0.5, *FINITE)
+    ce_f1: float = option(0.67, *FINITE)
+    ce_acc: float = option(0.33, *FINITE)
+    va_v: float = option(0.5, *FINITE)
+    va_a: float = option(0.5, *FINITE)
 
 
 def track_scores(au_f1=None, au_tacc=None, ce_f1=None, ce_acc=None,
@@ -153,8 +154,10 @@ def evaluate(au_pred, ce_pred, va_pred, labels, weights=None):
     au_pred (N, 12) bits, ce_pred (N,) classes, va_pred (N, 2); labels is
     the LabelColumns of the N samples. Each track is evaluated on its
     labeled subset and reported absent when that subset is empty (VA
-    additionally needs >= 2 samples for the CCC).
+    additionally needs >= 2 samples for the CCC). weights must be finite.
     """
+    if weights is not None:
+        weights.validate()
     report = MetricReport()
     au_idx = np.flatnonzero(labels.au_mask)
     if au_idx.size:

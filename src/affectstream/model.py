@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import engine
+from ._options import COUNT, SEED, Options, option
 from .data import N_AU, N_CE
 from .losses import total_loss
 
@@ -30,7 +31,7 @@ class CheckpointError(RuntimeError):
 
 
 @dataclass
-class NetConfig:
+class NetConfig(Options):
     """Architecture hyperparameters.
 
     The extractor output widths (192 = 12x16 for AU, 64 for CE and VA) and
@@ -39,26 +40,16 @@ class NetConfig:
     12 per-unit branches.
     """
 
-    embed_dim: int = 512
-    au_feat_dim: int = 192
-    ce_feat_dim: int = 64
-    va_feat_dim: int = 64
-    translator_dim: int = 64
-    extractor_hidden: int = 256
-    head_hidden: int = 64
-    variant: str = "streaming"
-    adapter: bool = False
-    seed: int = 0
-
-    def validate(self):
-        dims = (self.embed_dim, self.au_feat_dim, self.ce_feat_dim, self.va_feat_dim,
-                self.translator_dim, self.extractor_hidden, self.head_hidden)
-        if any(int(d) < 1 for d in dims):
-            raise ValueError(f"all dimensions must be >= 1: {self}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+    embed_dim: int = option(512, *COUNT)
+    au_feat_dim: int = option(192, *COUNT)
+    ce_feat_dim: int = option(64, *COUNT)
+    va_feat_dim: int = option(64, *COUNT)
+    translator_dim: int = option(64, *COUNT)
+    extractor_hidden: int = option(256, *COUNT)
+    head_hidden: int = option(64, *COUNT)
+    variant: str = option("streaming", lambda v: v in VARIANTS, "one of " + ", ".join(VARIANTS))
+    adapter: bool = option(False, lambda v: isinstance(v, bool), "a bool (on or off)")
+    seed: int = option(0, *SEED)
 
     @property
     def ce_in_dim(self):

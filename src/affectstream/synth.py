@@ -18,10 +18,11 @@ principle recover every label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
+from ._options import COUNT, NONNEGATIVE, RATE, SEED, Options, option
 from .data import AffectRecord, LabelSet, N_AU, N_CE
 from .engine import make_rng
 from .pseudo import default_rule_table, rule_classes
@@ -50,29 +51,16 @@ _CE_HUB_SCORE = 0.30
 
 
 @dataclass
-class SynthConfig:
-    n: int
-    latent_dim: int = 16
-    missing_au: float = 0.0
-    missing_ce: float = 0.0
-    missing_va: float = 0.0
-    noise_std: float = 0.0
-    embed_dim: int = 512
-    lift_hidden: int = 64
-    seed: int = 0
-
-    def validate(self):
-        if self.n < 1 or self.embed_dim < 1 or self.lift_hidden < 1:
-            raise ValueError(f"counts must be >= 1: {self}")
-        if self.latent_dim < 2:
-            raise ValueError(f"latent_dim must be >= 2 (the label plane needs two axes): {self}")
-        for rate in (self.missing_au, self.missing_ce, self.missing_va):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"missing rates must be in [0, 1]: {self}")
-        if not 0.0 <= self.noise_std < np.inf:
-            raise ValueError(f"noise_std must be finite and >= 0: {self}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+class SynthConfig(Options):
+    n: int = option(MISSING, *COUNT)
+    latent_dim: int = option(16, lambda v: v >= 2, ">= 2 (the label plane needs two axes)")
+    missing_au: float = option(0.0, *RATE)
+    missing_ce: float = option(0.0, *RATE)
+    missing_va: float = option(0.0, *RATE)
+    noise_std: float = option(0.0, *NONNEGATIVE)
+    embed_dim: int = option(512, *COUNT)
+    lift_hidden: int = option(64, *COUNT)
+    seed: int = option(0, *SEED)
 
 
 def _label_maps(rng, ld):

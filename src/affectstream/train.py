@@ -6,8 +6,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._options import COUNT, NONNEGATIVE, POSITIVE, SEED, Options, option
 from .data import Batch, LabelColumns, LabelSet, batch_iter, kfold_split
-from .engine import Optimizer
+from .engine import OPTIMIZERS, Optimizer, make_rng
 from .losses import LossBreakdown
 from .metrics import evaluate
 from .model import Model, NetConfig
@@ -19,25 +20,20 @@ class NoLabeledDataError(ValueError):
 
 
 @dataclass
-class TrainSettings:
-    epochs: int = 50
-    batch_size: int = 64
-    lr: float = 1e-3
-    optimizer: str = "adam"
-    weight_decay: float = 0.0
-    seed: int = 0
+class TrainSettings(Options):
+    epochs: int = option(50, *COUNT)
+    batch_size: int = option(64, *COUNT)
+    lr: float = option(1e-3, *POSITIVE)
+    optimizer: str = option("adam", lambda v: v in OPTIMIZERS, "one of " + ", ".join(OPTIMIZERS))
+    weight_decay: float = option(0.0, *NONNEGATIVE)
+    seed: int = option(0, *SEED)
 
     def validate(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0.0 < self.lr < np.inf:
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        if not 0.0 <= self.weight_decay < np.inf:
-            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        super().validate()
+        # decoupled decay scales every weight by 1 - lr * weight_decay per step
+        if self.lr * self.weight_decay >= 1.0:
+            raise ValueError(f"lr * weight_decay must be < 1, got lr={self.lr!r} and "
+                             f"weight_decay={self.weight_decay!r}")
 
 
 def _epoch_mean(breakdowns):
@@ -121,7 +117,7 @@ def evaluate_model(model, records, weights=None):
 def holdout_split(records, fraction, seed):
     """Seeded (train, holdout) split with the given holdout fraction."""
     records = list(records)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = make_rng(seed)
     order = rng.permutation(len(records))
     n_hold = round(len(records) * fraction)
     train = [records[i] for i in order[n_hold:]]

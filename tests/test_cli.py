@@ -204,6 +204,22 @@ def test_bad_input_exit_2(tmp_path, argv, named):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("given", ["flags", "config"])
+def test_lr_times_weight_decay_of_one_or_more_exit_2(tmp_path, given):
+    """The pair is refused before training, naming both values, whether
+    given as flags or as config keys."""
+    data = make_dataset(tmp_path)
+    pair = (["--lr", "1", "--weight-decay", "2"] if given == "flags"
+            else ["--config", str(tmp_path / "lw.cfg")])
+    (tmp_path / "lw.cfg").write_text("lr = 1\nweight_decay = 2\n")
+    proc = run_cli(["train", "--data", str(data), "--epochs", "1", "--out", "ck.json"] + pair,
+                   tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "lr * weight_decay must be < 1, got lr=1.0 and weight_decay=2.0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "ck.json").exists()
+
+
 # -- eval -----------------------------------------------------------------
 
 

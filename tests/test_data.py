@@ -66,7 +66,8 @@ def test_unlabeled_record_uses_sentinels(tmp_path):
     assert lines[0] == "#affect-v1 dim=2"
     assert lines[1] == "x,1.0,2.0,-,-,-,-"
     loaded = load_dataset(path)
-    assert not loaded[0].labels.any_present()
+    lab = loaded[0].labels
+    assert not (lab.au is not None or lab.ce is not None or lab.va is not None)
 
 
 def test_empty_dataset_round_trip(tmp_path):
@@ -311,7 +312,8 @@ def test_label_columns_hold_each_label_and_its_presence(labels):
     assert cols.au_mask.tolist() == [lab.au is not None for lab in labels]
     assert cols.ce_mask.tolist() == [lab.ce is not None for lab in labels]
     assert cols.va_mask.tolist() == [lab.va is not None for lab in labels]
-    assert cols.any_present() == any(lab.any_present() for lab in labels)
+    assert cols.any_present() == any(
+        lab.au is not None or lab.ce is not None or lab.va is not None for lab in labels)
     for i, lab in enumerate(labels):
         if lab.au is not None:
             assert np.array_equal(cols.au[i], lab.au)

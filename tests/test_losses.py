@@ -372,7 +372,8 @@ def labelled_outputs(draw):
         if draw(st.booleans()):
             va = draw(hnp.arrays(float, 2, elements=st.floats(-1.0, 1.0)))
         labels.append(make_labels(au=au, ce=ce, va=va))
-    assume(any(lab.any_present() for lab in labels))
+    assume(any(lab.au is not None or lab.ce is not None or lab.va is not None
+               for lab in labels))
     return au_l, ce_l, va_p, labels
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,16 @@ def test_lr_must_be_positive(lr):
     """A negative lr would train as gradient ascent without a word."""
     with pytest.raises(ValueError, match="lr must be finite and > 0"):
         TrainSettings(lr=lr).validate()
+
+
+@pytest.mark.parametrize("lr, weight_decay", [(1.0, 2.0), (0.5, 2.0), (1e300, 1e300)])
+def test_lr_times_weight_decay_must_be_below_one(lr, weight_decay):
+    """Decoupled decay multiplies every weight by 1 - lr * weight_decay per
+    step; at 1 or more that zeroes or flips every weight."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"lr * weight_decay must be < 1, got lr={lr!r} and weight_decay={weight_decay!r}")):
+        TrainSettings(lr=lr, weight_decay=weight_decay, optimizer="sgd").validate()
+    TrainSettings(lr=lr, weight_decay=0.5 / lr, optimizer="sgd").validate()
 
 
 def test_fit_returns_one_breakdown_per_epoch(tmp_path):
